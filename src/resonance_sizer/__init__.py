@@ -34,9 +34,7 @@ from .expoly import (
     CancellationGroup,
     CancellationReport,
     ExpoPolynomial,
-    LeibnizTerm,
     expand,
-    leibniz_terms,
     zero_frequency_polynomial,
 )
 from .gammadet import determinant_direct, gamma_matrix
@@ -86,7 +84,6 @@ __all__ = [
     "EdgeMultigraph",
     "ExpoPolynomial",
     "GenericityReport",
-    "LeibnizTerm",
     "NonpositiveScale",
     "NumericalError",
     "Permutation",
@@ -121,7 +118,6 @@ __all__ = [
     "gamma_matrix",
     "genericity_scan",
     "is_generic",
-    "leibniz_terms",
     "newton_polish",
     "permutation_sign",
     "random_configuration",

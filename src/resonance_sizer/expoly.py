@@ -16,7 +16,7 @@ vanishing.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,33 +25,13 @@ from numpy.polynomial import polynomial as npoly
 from . import _sweep
 from .errors import TooLarge, ValidationError
 from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
-from .permutations import MAX_ENUM_N, Permutation, cycle_decompose
-from .sizing import _v_of_image
+from .permutations import MAX_ENUM_N
 
 # Relative gap threshold for clustering nearly-equal term frequencies.
 DEFAULT_FREQ_TOL = 1e-9
 # A frequency group counts as cancelled when its summed coefficients drop
 # below this fraction of the largest pre-sum coefficient magnitude.
 DEFAULT_CANCEL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LeibnizTerm:
-    """One determinant-expansion term for a single permutation."""
-
-    sigma: Permutation
-    frequency: float
-    sign: int
-    k1: float
-    fixed_points: tuple[int, ...]
-
-    def polynomial(self, strengths) -> np.ndarray:
-        """Coefficients (ascending) of sign * k1 * prod(i z - 4 pi a_j)."""
-        a = strength_values(strengths, self.sigma.n)
-        coeffs = np.array([self.sign * self.k1], dtype=complex)
-        for j in self.fixed_points:
-            coeffs = npoly.polymul(coeffs, np.array([-4 * np.pi * a[j], 1j]))
-        return coeffs
 
 
 @dataclass(frozen=True)
@@ -64,11 +44,39 @@ class CancellationGroup:
     cancelled: bool
 
 
+class _GroupColumns(Sequence):
+    """CancellationGroup records held as columns, built only when read.
+
+    An expansion at N = 8 has about 18k groups and one at N = 10 over a
+    million; most callers only need the top frequency, so the records are
+    not materialized up front.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, frequency, pre_scale, post_scale, cancelled):
+        self._columns = (frequency, pre_scale, post_scale, cancelled)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return CancellationGroup(*(col[i].item() for col in self._columns))
+
+    def __iter__(self):
+        return map(CancellationGroup, *(col.tolist() for col in self._columns))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} cancellation groups>"
+
+
 @dataclass(frozen=True)
 class CancellationReport:
     """Which term frequencies survived the summation, and how narrowly."""
 
-    groups: tuple[CancellationGroup, ...]
+    groups: Sequence[CancellationGroup]
     cancelled_frequencies: tuple[float, ...]
     freq_tol: float
     cancel_tol: float
@@ -90,28 +98,31 @@ class ExpoPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        merged: dict[float, np.ndarray] = {}
-        for freq, coeffs in terms:
-            freq = float(freq)
-            coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-            if freq in merged:
-                width = max(len(merged[freq]), len(coeffs))
-                buf = np.zeros(width, dtype=complex)
-                buf[: len(merged[freq])] += merged[freq]
-                buf[: len(coeffs)] += coeffs
-                merged[freq] = buf
-            else:
-                merged[freq] = coeffs.copy()
-        out = []
-        for freq in sorted(merged):
-            coeffs = merged[freq]
-            nz = np.nonzero(coeffs)[0]
-            if len(nz) == 0:
-                continue
-            coeffs = coeffs[: nz[-1] + 1]
-            coeffs.setflags(write=False)
-            out.append((freq, coeffs))
-        self.terms = tuple(out)
+        freqs, rows = [], []
+        for b, c in terms:
+            freqs.append(b)
+            rows.append(c)
+        if not rows:
+            self.terms = ()
+            return
+        freqs = np.array(freqs, dtype=float)
+        coeffs = _stack(rows)
+        del rows
+
+        if np.any(freqs[1:] < freqs[:-1]):
+            order = np.argsort(freqs, kind="stable")
+            freqs, coeffs = freqs[order], coeffs[order]
+        starts = np.flatnonzero(np.concatenate([[True], freqs[1:] != freqs[:-1]]))
+        if len(starts) < len(freqs):
+            coeffs = np.add.reduceat(coeffs, starts)
+            freqs = freqs[starts]
+
+        # 1 + index of the last nonzero coefficient; 0 for a zero polynomial
+        lengths = np.max((coeffs != 0) * np.arange(1, coeffs.shape[1] + 1), axis=1, initial=0)
+        coeffs.setflags(write=False)
+        self.terms = tuple(
+            (b, c[:k]) for b, c, k in zip(freqs.tolist(), coeffs, lengths.tolist()) if k
+        )
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -171,9 +182,17 @@ class ExpoPolynomial:
         return f"ExpoPolynomial(frequencies=[{freqs}])"
 
 
-def _check_expand_n(n: int) -> None:
-    if n > MAX_ENUM_N:
-        raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {n}")
+def _stack(rows: list) -> np.ndarray:
+    """Coefficient sequences as the rows of a zero-padded complex matrix."""
+    try:
+        return np.array(rows, dtype=complex).reshape(len(rows), -1)
+    except ValueError:  # unequal lengths
+        pass
+    rows = [np.atleast_1d(np.asarray(r, dtype=complex)) for r in rows]
+    lengths = np.array([len(r) for r in rows])
+    out = np.zeros((len(rows), lengths.max()), dtype=complex)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    return out
 
 
 def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
@@ -188,48 +207,23 @@ def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
     return ExpoPolynomial([(0.0, coeffs)])
 
 
-def leibniz_terms(strengths, config: Configuration) -> list[LeibnizTerm]:
-    """One expansion term per permutation, in lexicographic order.
+def _mask_polynomials(minus_4pi_a: np.ndarray) -> np.ndarray:
+    """Row m holds prod over set bits j of m of (i z - 4 pi a_j).
 
-    Materializes all N! terms; intended for small N (expand() streams the
-    same data without building term objects).
+    Ascending coefficients, zero-padded to N + 1 columns.  Each row is its
+    parent row (m without its highest bit) times one linear factor.
     """
-    config = validate_configuration(config)
-    _check_expand_n(config.n)
-    strength_values(strengths, config.n)  # validate pairing
-    d = distance_matrix(config)
-    n = config.n
-    terms = []
-    for image in itertools.permutations(range(n)):
-        sigma = Permutation(image)
-        moved = [j for j in range(n) if image[j] != j]
-        k1 = 1.0
-        for j in moved:
-            k1 /= d[j, image[j]]
-        sign = -1 if (n - cycle_decompose(sigma).m) % 2 else 1
-        terms.append(
-            LeibnizTerm(
-                sigma=sigma,
-                frequency=_v_of_image(d, image),
-                sign=sign,
-                k1=k1,
-                fixed_points=tuple(j for j in range(n) if image[j] == j),
-            )
-        )
-    return terms
-
-
-def _mask_polynomial(mask: int, minus_4pi_a: np.ndarray) -> np.ndarray:
-    """prod over set bits j of (i z - 4 pi a_j), ascending coefficients."""
-    coeffs = np.array([1.0], dtype=complex)
-    j = 0
-    m = mask
-    while m:
-        if m & 1:
-            coeffs = npoly.polymul(coeffs, np.array([minus_4pi_a[j], 1j]))
-        m >>= 1
-        j += 1
-    return coeffs
+    n = len(minus_4pi_a)
+    factors = [np.array([c, 1j]) for c in minus_4pi_a]
+    polys = [np.array([1.0], dtype=complex)]
+    table = np.zeros((1 << n, n + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for mask in range(1, 1 << n):
+        high = mask.bit_length() - 1
+        poly = np.convolve(polys[mask ^ (1 << high)], factors[high])
+        polys.append(poly)
+        table[mask, : len(poly)] = poly
+    return table
 
 
 def expand(
@@ -247,59 +241,63 @@ def expand(
     coefficients all fall below cancel_tol times the largest pre-sum
     coefficient magnitude.  The zero-frequency group always survives: its
     polynomial is prod_j (i z - 4 pi a_j), of degree exactly N.
+
+    All clusters are reduced in one vectorized pass.  Weights are summed
+    per (cluster, fixed-point mask) in sorted-V order, then the mask
+    polynomials are added in increasing mask order; both sums are
+    sequential, so every coefficient is the same double as when the
+    clusters are summed one at a time.
     """
     config = validate_configuration(config)
-    _check_expand_n(config.n)
+    if config.n > MAX_ENUM_N:
+        raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {config.n}")
     a = strength_values(strengths, config.n)
-    d = distance_matrix(config)
     n = config.n
 
-    v_all, w_all, mask_all = _sweep.term_arrays(d)
-    order = np.argsort(v_all, kind="stable")
-    v_sorted = v_all[order]
-    tol_abs = freq_tol * max(1.0, float(v_sorted[-1]))
-    splits = np.nonzero(np.diff(v_sorted) > tol_abs)[0] + 1
-    bounds = np.concatenate([[0], splits, [len(v_sorted)]])
+    # Per-term arrays are N! long (3.6M at N = 10), so each is released as
+    # soon as it has been used.
+    v, w, masks = _sweep.term_arrays(distance_matrix(config))
+    order = np.argsort(v, kind="stable")
+    v, w, masks = v[order], w[order], masks[order]
+    del order
+    tol_abs = freq_tol * max(1.0, float(v[-1]))
+    gaps = np.diff(v) > tol_abs
+    starts = np.concatenate([[0], np.flatnonzero(gaps) + 1])
+    sizes = np.diff(np.append(starts, len(v)))
+    group = np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
+    del gaps
 
-    minus_4pi_a = -4 * np.pi * a
-    poly_cache: dict[int, np.ndarray] = {}
-    peak_cache: dict[int, float] = {}
+    # A zero ahead of each cluster makes every sum the one np.mean takes
+    # (0 plus the pairwise sum of the cluster), so each frequency is the
+    # same double as the mean of its cluster.
+    padded_starts = starts + np.arange(len(starts))
+    freqs = np.add.reduceat(np.insert(v, starts, 0.0), padded_starts) / sizes
+    freqs[v[starts] == 0.0] = 0.0
+    del v
 
-    surviving = []
-    groups = []
-    cancelled_freqs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        idx = order[lo:hi]
-        freq = 0.0 if v_sorted[lo] == 0.0 else float(v_sorted[lo:hi].mean())
-        masks = mask_all[idx]
-        weights = w_all[idx]
-        unique_masks, inverse = np.unique(masks, return_inverse=True)
-        weight_sums = np.zeros(len(unique_masks))
-        np.add.at(weight_sums, inverse, weights)
+    table = _mask_polynomials(-4 * np.pi * a)
+    peaks = np.abs(table).max(axis=1)
+    pre_scale = np.maximum.reduceat(np.abs(w) * peaks[masks], starts)
 
-        peaks = np.empty(len(unique_masks))
-        for i, m in enumerate(unique_masks):
-            m = int(m)
-            if m not in poly_cache:
-                poly_cache[m] = _mask_polynomial(m, minus_4pi_a)
-                peak_cache[m] = float(np.abs(poly_cache[m]).max())
-            peaks[i] = peak_cache[m]
-        pre_scale = float((np.abs(weights) * peaks[inverse]).max())
+    keys, inverse = np.unique((group << n) | masks, return_inverse=True)
+    del group, masks
+    weight_sums = np.bincount(inverse, weights=w, minlength=len(keys))
+    del inverse, w
+    key_group, key_mask = keys >> n, keys & ((1 << n) - 1)
+    coeffs = np.empty((len(starts), n + 1), dtype=complex)
+    for p in range(n + 1):
+        products = weight_sums * table[key_mask, p]
+        coeffs.real[:, p] = np.bincount(key_group, products.real, minlength=len(starts))
+        coeffs.imag[:, p] = np.bincount(key_group, products.imag, minlength=len(starts))
+    post_scale = np.abs(coeffs).max(axis=1)
 
-        summed = np.zeros(n + 1, dtype=complex)
-        for m, ws in zip(unique_masks, weight_sums):
-            c = poly_cache[int(m)]
-            summed[: len(c)] += ws * c
-        post_scale = float(np.abs(summed).max())
-
-        cancelled = freq > 0.0 and post_scale <= cancel_tol * pre_scale
-        groups.append(CancellationGroup(freq, pre_scale, post_scale, cancelled))
-        if cancelled:
-            cancelled_freqs.append(freq)
-        else:
-            surviving.append((freq, summed))
-
+    cancelled = (freqs > 0.0) & (post_scale <= cancel_tol * pre_scale)
     report = CancellationReport(
-        tuple(groups), tuple(cancelled_freqs), freq_tol, cancel_tol
+        _GroupColumns(freqs, pre_scale, post_scale, cancelled),
+        tuple(freqs[cancelled].tolist()),
+        freq_tol,
+        cancel_tol,
     )
-    return ExpoPolynomial(surviving), report
+    # the constructor drops zero polynomials, so this prunes cancelled groups
+    coeffs[cancelled] = 0.0
+    return ExpoPolynomial(zip(freqs.tolist(), coeffs)), report

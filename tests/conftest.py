@@ -5,6 +5,13 @@ import pytest
 
 from resonance_sizer import validate_configuration
 
+# Tetragonal disphenoid: three fixed-point-free permutation classes tie at
+# the top frequency V = 4 * side and their weights cancel for every choice
+# of strengths, so b_nu < V.  Golden values from the expansion.
+DISPHENOID_CENTERS = ((0.3, 0, 0), (-0.3, 0, 0), (0, 0.3, 1), (0, -0.3, 1))
+DISPHENOID_B_NU = 3.372556098240043
+DISPHENOID_V = 4.345112196480086
+
 
 def random_rotation(rng):
     """Haar-ish proper rotation of R^3 via QR with sign fix."""
@@ -39,3 +46,9 @@ def equilateral():
     return validate_configuration(
         [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
     )
+
+
+@pytest.fixture
+def disphenoid():
+    """The NonWeyl tetragonal disphenoid of DISPHENOID_CENTERS."""
+    return validate_configuration(DISPHENOID_CENTERS)

@@ -1,0 +1,161 @@
+"""Loop-based reference implementations of the determinant expansion.
+
+`expand_reference` is the per-group loop that `resonance_sizer.expoly.expand`
+replaced with a single vectorized pass; it keeps the original arithmetic
+(sequential weight sums, one polynomial product per fixed-point mask, one
+group at a time), so the vectorized code can be compared with it bit for
+bit.  `leibniz_terms` materializes one term object per permutation and is
+the slowest, most literal reading of the Leibniz expansion.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+from numpy.polynomial import polynomial as npoly
+
+from resonance_sizer import (
+    Configuration,
+    Permutation,
+    TooLarge,
+    distance_matrix,
+    permutation_sign,
+    validate_configuration,
+)
+from resonance_sizer import _sweep
+from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
+from resonance_sizer.geometry import strength_values
+from resonance_sizer.permutations import MAX_ENUM_N
+
+
+def _check_n(n: int) -> None:
+    if n > MAX_ENUM_N:
+        raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {n}")
+
+
+@dataclass(frozen=True)
+class LeibnizTerm:
+    """One determinant-expansion term for a single permutation."""
+
+    sigma: Permutation
+    frequency: float
+    sign: int
+    k1: float
+    fixed_points: tuple[int, ...]
+
+    def polynomial(self, strengths) -> np.ndarray:
+        """Coefficients (ascending) of sign * k1 * prod(i z - 4 pi a_j)."""
+        a = strength_values(strengths, self.sigma.n)
+        coeffs = np.array([self.sign * self.k1], dtype=complex)
+        for j in self.fixed_points:
+            coeffs = npoly.polymul(coeffs, np.array([-4 * np.pi * a[j], 1j]))
+        return coeffs
+
+
+def leibniz_terms(strengths, config: Configuration) -> list[LeibnizTerm]:
+    """One expansion term per permutation, in lexicographic order."""
+    config = validate_configuration(config)
+    _check_n(config.n)
+    strength_values(strengths, config.n)  # validate pairing
+    d = distance_matrix(config)
+    n = config.n
+    terms = []
+    for image in itertools.permutations(range(n)):
+        sigma = Permutation(image)
+        moved = [j for j in range(n) if image[j] != j]
+        k1 = 1.0
+        for j in moved:
+            k1 /= d[j, image[j]]
+        terms.append(
+            LeibnizTerm(
+                sigma=sigma,
+                frequency=float(d[np.arange(n), np.asarray(image)].sum()),
+                sign=permutation_sign(sigma),
+                k1=k1,
+                fixed_points=tuple(j for j in range(n) if image[j] == j),
+            )
+        )
+    return terms
+
+
+def _mask_polynomial(mask: int, minus_4pi_a: np.ndarray) -> np.ndarray:
+    """prod over set bits j of (i z - 4 pi a_j), ascending coefficients."""
+    coeffs = np.array([1.0], dtype=complex)
+    j = 0
+    m = mask
+    while m:
+        if m & 1:
+            coeffs = npoly.polymul(coeffs, np.array([minus_4pi_a[j], 1j]))
+        m >>= 1
+        j += 1
+    return coeffs
+
+
+def expand_reference(
+    strengths,
+    config: Configuration,
+    freq_tol: float = DEFAULT_FREQ_TOL,
+    cancel_tol: float = DEFAULT_CANCEL_TOL,
+):
+    """Frequency grouping one cluster at a time.
+
+    Returns (terms, groups, cancelled_frequencies): terms are the surviving
+    (frequency, coefficients) pairs with trailing zeros trimmed, groups the
+    (frequency, pre_scale, post_scale, cancelled) tuples of every cluster in
+    increasing frequency.
+    """
+    config = validate_configuration(config)
+    _check_n(config.n)
+    a = strength_values(strengths, config.n)
+    d = distance_matrix(config)
+    n = config.n
+
+    v_all, w_all, mask_all = _sweep.term_arrays(d)
+    order = np.argsort(v_all, kind="stable")
+    v_sorted = v_all[order]
+    tol_abs = freq_tol * max(1.0, float(v_sorted[-1]))
+    splits = np.nonzero(np.diff(v_sorted) > tol_abs)[0] + 1
+    bounds = np.concatenate([[0], splits, [len(v_sorted)]])
+
+    minus_4pi_a = -4 * np.pi * a
+    poly_cache: dict[int, np.ndarray] = {}
+    peak_cache: dict[int, float] = {}
+
+    terms = []
+    groups = []
+    cancelled_freqs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        freq = 0.0 if v_sorted[lo] == 0.0 else float(v_sorted[lo:hi].mean())
+        masks = mask_all[idx]
+        weights = w_all[idx]
+        unique_masks, inverse = np.unique(masks, return_inverse=True)
+        weight_sums = np.zeros(len(unique_masks))
+        np.add.at(weight_sums, inverse, weights)
+
+        peaks = np.empty(len(unique_masks))
+        for i, m in enumerate(unique_masks):
+            m = int(m)
+            if m not in poly_cache:
+                poly_cache[m] = _mask_polynomial(m, minus_4pi_a)
+                peak_cache[m] = float(np.abs(poly_cache[m]).max())
+            peaks[i] = peak_cache[m]
+        pre_scale = float((np.abs(weights) * peaks[inverse]).max())
+
+        summed = np.zeros(n + 1, dtype=complex)
+        for m, ws in zip(unique_masks, weight_sums):
+            c = poly_cache[int(m)]
+            summed[: len(c)] += ws * c
+        post_scale = float(np.abs(summed).max())
+
+        cancelled = freq > 0.0 and post_scale <= cancel_tol * pre_scale
+        groups.append((freq, pre_scale, post_scale, cancelled))
+        if cancelled:
+            cancelled_freqs.append(freq)
+            continue
+        nz = np.nonzero(summed)[0]
+        if len(nz):
+            terms.append((freq, summed[: nz[-1] + 1]))
+    return terms, groups, tuple(cancelled_freqs)

@@ -4,6 +4,7 @@ import pytest
 from resonance_sizer import (
     TooFewPoints,
     classify,
+    expand,
     fit_slope,
     genericity_scan,
     is_generic,
@@ -11,7 +12,13 @@ from resonance_sizer import (
     scale_configuration,
     validate_configuration,
 )
-from tests.conftest import apply_rigid_motion
+from tests.conftest import DISPHENOID_B_NU, DISPHENOID_V, apply_rigid_motion
+
+STRENGTH_CASES = {
+    "zero": np.zeros(4),
+    "real": np.array([0.5, -1.0, 0.25, 2.0]),
+    "complex": np.array([0.5 + 1j, -0.3j, 1 - 2j, 0.1]),
+}
 
 
 def test_fit_slope_exact_line():
@@ -48,6 +55,17 @@ def test_collinear_weyl_but_not_generic(collinear):
     report = classify([0, 0, 0], collinear)
     assert report.classification == "Weyl"
     assert not is_generic(collinear).is_generic
+
+
+@pytest.mark.parametrize("strengths", STRENGTH_CASES.values(), ids=STRENGTH_CASES)
+def test_disphenoid_is_nonweyl(disphenoid, strengths):
+    report = classify(strengths, disphenoid)
+    assert report.classification == "NonWeyl"
+    assert report.b_nu == pytest.approx(DISPHENOID_B_NU, rel=1e-12)
+    assert report.v == pytest.approx(DISPHENOID_V, rel=1e-12)
+    _, cancels = expand(strengths, disphenoid)
+    assert cancels.cancelled_frequencies == pytest.approx((DISPHENOID_V,), rel=1e-12)
+    assert not is_generic(disphenoid).is_generic
 
 
 def test_generic_config_is_weyl():

@@ -6,6 +6,7 @@ import pytest
 
 from resonance_sizer import cli
 from resonance_sizer.errors import QuadratureDivergence
+from tests.conftest import DISPHENOID_B_NU, DISPHENOID_CENTERS, DISPHENOID_V
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -54,6 +55,22 @@ def test_missing_strengths_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "expand", "--config", str(path))
     assert rc == 2
     assert "strengths" in err
+
+
+@pytest.mark.parametrize(
+    "strengths",
+    [[[0.0, 0.0]] * 4, [[0.5, 0], [-1.0, 0], [0.25, 0], [2.0, 0]], [[0.5, 1], [0, -0.3], [1, -2], [0.1, 0]]],
+    ids=["zero", "real", "complex"],
+)
+def test_classify_nonweyl_disphenoid(tmp_path, capsys, strengths):
+    path = write_config(tmp_path, centers=DISPHENOID_CENTERS, strengths=strengths)
+    rc, out, _ = run(capsys, "classify", "--config", path)
+    assert rc == 0
+    data = json.loads(out)
+    assert data["classification"] == "NonWeyl"
+    assert data["b_nu"] == pytest.approx(DISPHENOID_B_NU, rel=1e-12)
+    assert data["v"] == pytest.approx(DISPHENOID_V, rel=1e-12)
+    assert data["is_generic"] is False
 
 
 def test_expand_json(tmp_path, capsys):

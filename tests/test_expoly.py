@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from resonance_sizer import (
+    CancellationGroup,
     ExpoPolynomial,
     TooLarge,
     ValidationError,
@@ -12,13 +14,14 @@ from resonance_sizer import (
     distance_matrix,
     edge_multigraph,
     expand,
-    leibniz_terms,
     random_configuration,
     size_v,
     v_sigma,
     validate_configuration,
     zero_frequency_polynomial,
 )
+from tests.conftest import DISPHENOID_CENTERS
+from tests.expoly_reference import expand_reference, leibniz_terms
 
 FOUR_PI = 4 * np.pi
 
@@ -164,6 +167,17 @@ class TestExpand:
         with pytest.raises(TooLarge):
             expand(np.zeros(11), cfg)
 
+    def test_groups_sequence(self, collinear):
+        _, report = expand([0.1, 0.2j, 0.3], collinear)
+        groups = list(report.groups)
+        assert len(report.groups) == len(groups) == 3
+        assert report.groups[-1] == groups[2]
+        assert report.groups[1:] == tuple(groups[1:])
+        assert isinstance(groups[0], CancellationGroup)
+        assert type(groups[0].frequency) is float and type(groups[0].cancelled) is bool
+        with pytest.raises(IndexError):
+            report.groups[3]
+
     def test_strength_length_mismatch(self):
         from resonance_sizer import SizeMismatch
 
@@ -172,11 +186,69 @@ class TestExpand:
             expand(np.zeros(2), cfg)
 
 
+def _double_disphenoid():
+    one = np.array(DISPHENOID_CENTERS, dtype=float)
+    return np.vstack([one, one + [5.0, 0.0, 0.0]])
+
+
+# Shapes with tied frequencies; the double disphenoid also has cancelled groups.
+STRUCTURED = {
+    "cube": list(itertools.product((0.0, 1.0), repeat=3)),
+    "octagon": [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0) for k in range(8)],
+    "collinear": [(float(k), 0.0, 0.0) for k in range(7)],
+    "double-disphenoid": _double_disphenoid(),
+}
+
+
+class TestExpandMatchesReference:
+    """The vectorized grouping against the per-group loop, bit for bit."""
+
+    @staticmethod
+    def check(a, cfg):
+        epoly, report = expand(a, cfg)
+        ref_terms, ref_groups, ref_cancelled = expand_reference(a, cfg)
+        groups = [(g.frequency, g.pre_scale, g.post_scale, g.cancelled) for g in report.groups]
+        assert groups == ref_groups
+        assert report.cancelled_frequencies == ref_cancelled
+        assert len(epoly.terms) == len(ref_terms)
+        for (b, c), (ref_b, ref_c) in zip(epoly.terms, ref_terms):
+            assert b == ref_b
+            assert c.dtype == ref_c.dtype and c.tobytes() == ref_c.tobytes()
+        return report
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2 if n < 8 else 1):
+            cfg = random_configuration(n, rng)
+            self.check(rng.normal(size=n) + 1j * rng.normal(size=n), cfg)
+
+    @pytest.mark.parametrize("name", STRUCTURED)
+    def test_structured(self, name):
+        cfg = validate_configuration(STRUCTURED[name])
+        rng = np.random.default_rng(7)
+        report = self.check(rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n), cfg)
+        if name == "double-disphenoid":
+            assert report.cancelled_frequencies
+
+    def test_zero_strengths(self):
+        self.check(np.zeros(8), validate_configuration(_double_disphenoid()))
+
+
 class TestExpoPolynomial:
     def test_merges_equal_frequencies_and_trims(self):
         epoly = ExpoPolynomial([(1.0, [1, 2, 0]), (1.0, [-1, 0, 0]), (0.0, [3])])
         assert [b for b, _ in epoly.terms] == [0.0, 1.0]
         np.testing.assert_array_equal(epoly.coefficients(1.0), [0, 2])
+
+    def test_equal_length_and_scalar_inputs(self):
+        epoly = ExpoPolynomial([(1.0, [1, 2]), (0.0, [3, 0]), (1.0, [-1, 0])])
+        assert [b for b, _ in epoly.terms] == [0.0, 1.0]
+        np.testing.assert_array_equal(epoly.coefficients(0.0), [3])
+        np.testing.assert_array_equal(epoly.coefficients(1.0), [0, 2])
+        assert not epoly.coefficients(1.0).flags.writeable
+        scalar = ExpoPolynomial([(2.0, 1.5), (0.0, [1, 1j])])
+        np.testing.assert_array_equal(scalar.coefficients(2.0), [1.5])
 
     def test_drops_zero_polynomials(self):
         epoly = ExpoPolynomial([(0.0, [1]), (2.0, [0, 0])])
