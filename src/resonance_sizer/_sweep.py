@@ -11,23 +11,59 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-_BLOCK = 1 << 16
+# Upper bound on the rows of one block.  7! rows keep the cached S_7 table
+# at 280 KB; a cached S_8 table (2.6 MB) would stay resident for the life
+# of the process and raise the peak RSS of an N = 8 expansion.
+_BLOCK = math.factorial(7)
+
+
+@lru_cache(maxsize=None)
+def _lex_table(m: int) -> np.ndarray:
+    """S_m in lexicographic order, as a read-only (m!, m) array.
+
+    Rows starting with f are f followed by S_{m-1}'s rows mapped onto the
+    other symbols in increasing order, which is lexicographic again.
+    """
+    table = np.zeros((1, 0), dtype=np.int64)
+    for size in range(1, m + 1):
+        others = np.array([[j for j in range(size) if j != f] for f in range(size)])
+        grown = np.empty((size, len(table), size), dtype=np.int64)
+        grown[:, :, 0] = np.arange(size)[:, None]
+        grown[:, :, 1:] = others[:, table]
+        table = grown.reshape(-1, size)
+    table.setflags(write=False)
+    return table
 
 
 def perm_blocks(n: int, block_size: int = _BLOCK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_rank, block) over S_n in lexicographic order."""
-    it = itertools.permutations(range(n))
+    """Yield (start_rank, block) over S_n in lexicographic order.
+
+    With m the largest tail length such that m! <= block_size, each block
+    is one fixed prefix of n - m symbols followed by the cached S_m table
+    mapped onto the remaining symbols.  For m = n the single block is the
+    cached read-only table itself.
+    """
+    tail = n
+    while math.factorial(tail) > block_size:
+        tail -= 1
+    table = _lex_table(tail)
+    if tail == n:
+        yield 0, table
+        return
+    k = n - tail
     start = 0
-    while True:
-        chunk = list(itertools.islice(it, block_size))
-        if not chunk:
-            return
-        yield start, np.asarray(chunk, dtype=np.int64)
-        start += len(chunk)
+    for prefix in itertools.permutations(range(n), k):
+        rest = np.array(sorted(set(range(n)).difference(prefix)))
+        block = np.empty((len(table), n), dtype=np.int64)
+        block[:, :k] = prefix
+        np.take(rest, table, out=block[:, k:], mode="clip")
+        yield start, block
+        start += len(block)
 
 
 def rank_parity(ranks: np.ndarray, n: int) -> np.ndarray:

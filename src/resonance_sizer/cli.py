@@ -241,9 +241,7 @@ def cmd_resonances(args) -> int:
             },
         )
         freq_scale = max(epoly.effective_size, 1e-3)
-    found = find_resonances(
-        epoly.evaluate, epoly.derivative().evaluate, rc.region, freq_scale=freq_scale
-    )
+    found = find_resonances(epoly.value_and_derivative, rc.region, freq_scale=freq_scale)
     rows = [
         {
             "re": r.location.real,

@@ -32,6 +32,8 @@ DEFAULT_FREQ_TOL = 1e-9
 # A frequency group counts as cancelled when its summed coefficients drop
 # below this fraction of the largest pre-sum coefficient magnitude.
 DEFAULT_CANCEL_TOL = 1e-10
+# Elements of exp(i z b) held at once by value_and_derivative (128 KB).
+_KERNEL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,10 @@ class ExpoPolynomial:
     and trims trailing zero coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_table")
 
     def __init__(self, terms):
+        self._table = None
         freqs, rows = [], []
         for b, c in terms:
             freqs.append(b)
@@ -146,27 +149,65 @@ class ExpoPolynomial:
         raise KeyError(frequency)
 
     def evaluate(self, z):
-        """Evaluate at a complex point or array (Horner per polynomial)."""
-        zz = np.asarray(z, dtype=complex)
-        total = np.zeros_like(zz)
-        for b, coeffs in self.terms:
-            total = total + npoly.polyval(zz, coeffs) * np.exp(1j * b * zz)
-        if zz.ndim == 0:
-            return complex(total)
-        return total
+        """Evaluate at a complex point or array."""
+        return self.value_and_derivative(z)[0]
 
     __call__ = evaluate
 
+    def value_and_derivative(self, z):
+        """D(z) and D'(z) at a complex point or array, sharing every exponential.
+
+        D = sum_p z^p sum_j C_jp e^{i b_j z} and D' is the same sum over
+        C', the coefficients of P' + i b P.  Each block of points computes
+        E = exp(i z (x) b) once (about _KERNEL_BLOCK elements), contracts
+        it with the cached [C | C'] table and finishes both sums by Horner
+        in z.  A scalar gives a pair of complex numbers; an array gives two
+        arrays of its shape.
+        """
+        zz = np.asarray(z, dtype=complex)
+        flat = zz.reshape(-1)
+        out = np.zeros((flat.size, 2), dtype=complex)
+        if self.terms:
+            ifreqs, table = self._fdf_table()
+            rows = max(1, _KERNEL_BLOCK // len(ifreqs))
+            exps = np.empty((min(rows, flat.size), len(ifreqs)), dtype=complex)
+            for lo in range(0, flat.size, rows):
+                w = flat[lo : lo + rows, None]
+                e = exps[: len(w)]
+                np.multiply(w, ifreqs, out=e)
+                np.exp(e, out=e)
+                # row p of `sums` holds the pair (D, D') coefficients of z^p
+                sums = (e @ table).reshape(len(w), -1, 2)
+                acc = sums[:, -1]
+                for p in range(sums.shape[1] - 2, -1, -1):
+                    acc = acc * w + sums[:, p]
+                out[lo : lo + len(w)] = acc
+        if zz.ndim == 0:
+            return complex(out[0, 0]), complex(out[0, 1])
+        return out[:, 0].reshape(zz.shape), out[:, 1].reshape(zz.shape)
+
+    def _fdf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """i * frequencies, and the [C | C'] table with the two interleaved:
+        column 2p holds the z^p coefficients of P, column 2p + 1 those of
+        P' + i b P.  Built on first use and cached."""
+        if self._table is None:
+            freqs = self.frequencies
+            coeffs = _stack([c for _, c in self.terms])
+            deriv = 1j * freqs[:, None] * coeffs
+            deriv[:, :-1] += np.arange(1, coeffs.shape[1]) * coeffs[:, 1:]
+            table = np.stack([coeffs, deriv], axis=-1).reshape(len(freqs), -1)
+            ifreqs = 1j * freqs
+            ifreqs.setflags(write=False)
+            table.setflags(write=False)
+            self._table = (ifreqs, table)
+        return self._table
+
     def derivative(self) -> "ExpoPolynomial":
         """Termwise derivative (P' + i b P) e^{i b z}."""
-        out = []
-        for b, coeffs in self.terms:
-            dc = 1j * b * coeffs.astype(complex)
-            dc = np.concatenate([dc, [0.0]])[: max(len(coeffs), 1)]
-            if len(coeffs) > 1:
-                dc[:-1] += np.arange(1, len(coeffs)) * coeffs[1:]
-            out.append((b, dc))
-        return ExpoPolynomial(out)
+        if not self.terms:
+            return ExpoPolynomial([])
+        _, table = self._fdf_table()
+        return ExpoPolynomial(zip([b for b, _ in self.terms], table[:, 1::2]))
 
     def to_jsonable(self) -> list[dict]:
         return [

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _sweep
 from .errors import SizeMismatch, TooLarge, ValidationError
 
 # Hard cap for full S_N enumeration (10! = 3,628,800 permutations).
@@ -200,12 +201,8 @@ def enumerate_classes(n: int) -> ClassRepresentatives:
     _check_enum_n(n)
     code_blocks = []
     perm_blocks = []
-    it = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(it, 1 << 17))
-        if not chunk:
-            break
-        perms = np.asarray(chunk, dtype=np.int8)
+    for _, block in _sweep.perm_blocks(n):
+        perms = block.astype(np.int8)
         perm_blocks.append(perms)
         code_blocks.append(_multigraph_codes(perms).astype(np.int8))
     codes = np.concatenate(code_blocks)

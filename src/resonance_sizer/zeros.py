@@ -1,7 +1,10 @@
 """Zero counting and localization by the argument principle.
 
+Every routine takes one callable fdf(z) -> (f(z), f'(z)) that accepts a
+complex scalar or ndarray, such as ExpoPolynomial.value_and_derivative.
 Counts are winding numbers (1/2 pi i) * contour integral of f'/f, evaluated
-by trapezoid quadrature with point doubling until the raw value sits within
+by trapezoid quadrature with nested point doubling (each level evaluates
+only the nodes the previous level lacks) until the raw value sits within
 a fixed residual of an integer and the rounded count stabilizes.  A zero on
 (or hugging) the contour shows up either as a vanishing |f| sample or as a
 residual stalled near a half-integer; both trigger a contour nudge.
@@ -12,6 +15,7 @@ maximum depth are reported as clusters with their total multiplicity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +32,8 @@ _CONTOUR_GUARD = 1e-12
 _MAX_NUDGES = 5
 # Hard budget of quadrature points per disk contour.
 _MAX_POINTS = 1 << 22
+# Disk contour nodes evaluated per call, so only |f| is held for a level.
+_CHUNK = 1 << 11
 # Doubling budget per rectangle contour (failures are retried with moved
 # edges, so a tight budget keeps bad splits cheap).
 _RECT_DOUBLINGS = 12
@@ -120,24 +126,54 @@ def _is_stalled(history: list[complex]) -> bool:
     return all(0.15 <= r <= 0.85 for r in residuals) and all(s <= 0.02 for s in steps)
 
 
-def _disk_raw(f, df, center: complex, r: float, n: int):
-    theta = 2 * np.pi * np.arange(n) / n
-    unit = np.exp(1j * theta)
-    z = center + r * unit
-    fv = np.asarray(f(z), dtype=complex)
-    absf = np.abs(fv)
-    if absf.min() < _CONTOUR_GUARD * np.median(absf):
-        return None
-    with np.errstate(all="ignore"):
-        raw = complex(np.mean(np.asarray(df(z), dtype=complex) / fv * r * unit))
-    if not np.isfinite(raw):
-        return None
-    return raw
+def _contour_values(fdf, z: np.ndarray):
+    """f and f' on the nodes z, as complex arrays."""
+    fv, dfv = fdf(z)
+    return np.asarray(fv, dtype=complex), np.asarray(dfv, dtype=complex)
+
+
+def _guard_trips(absf: np.ndarray) -> bool:
+    """True when some contour sample of f is negligible against the median."""
+    return bool(absf.min() < _CONTOUR_GUARD * np.median(absf))
+
+
+def _disk_levels(fdf, center: complex, r: float, n: int):
+    """Yield (n, raw winding number) for n, 2n, 4n, ... <= _MAX_POINTS nodes
+    on |z - center| = r.
+
+    The nodes 2 pi k / n of one level are bit-identical to the even nodes
+    2 pi (2k) / (2n) of the next, so each level evaluates only its odd
+    nodes, _CHUNK at a time, and adds them to a running integrand sum; only
+    |f| is kept for every node, for the median guard.  Yields None for the
+    raw value when a sample of f vanishes against the median or the sum is
+    not finite, and then stops.
+    """
+    total = 0.0 + 0.0j
+    absf = np.empty(0)
+    start, step = 0, 1
+    while n <= _MAX_POINTS:
+        parts = [absf]
+        for lo in range(start, n, step * _CHUNK):
+            k = np.arange(lo, min(n, lo + step * _CHUNK), step)
+            unit = np.exp(1j * (2 * np.pi * k / n))
+            fv, dfv = _contour_values(fdf, center + r * unit)
+            parts.append(np.abs(fv))
+            with np.errstate(all="ignore"):
+                total += complex(np.sum(dfv / fv * unit)) * r
+        absf = np.concatenate(parts)
+        if _guard_trips(absf):
+            yield n, None
+            return
+        raw = total / n
+        if not np.isfinite(raw):
+            yield n, None
+            return
+        yield n, raw
+        start, step, n = 1, 2, 2 * n
 
 
 def count_zeros_disk(
-    f,
-    df,
+    fdf,
     radius: float,
     center: complex = 0.0,
     freq_scale: float = 1.0,
@@ -145,25 +181,25 @@ def count_zeros_disk(
 ) -> ZeroCount:
     """Count zeros (with multiplicity) of f in the disk |z - center| < radius.
 
-    f and df must accept complex ndarray arguments.  The initial grid
-    resolves oscillation at scale freq_scale * radius and is doubled until
-    the rounded winding number repeats and the residual drops below
-    residual_tol.  A contour running through a zero is nudged upward by
-    parts in 1e-6 before giving up, so zeros within the nudge scale of the
-    boundary are attributed by the nudged contour.
+    fdf(z) must return the pair (f(z), f'(z)) for a complex ndarray z.  The
+    initial grid resolves oscillation at scale freq_scale * radius and is
+    doubled (evaluating only the new nodes) until the rounded winding
+    number repeats and the residual drops below residual_tol.  A contour
+    running through a zero is nudged upward by parts in 1e-6 before giving
+    up, so zeros within the nudge scale of the boundary are attributed by
+    the nudged contour.
     """
     if not (radius > 0):
         raise ValidationError(f"radius must be positive, got {radius}")
     saw_zero_signal = False
     for k in range(_MAX_NUDGES + 1):
         r = radius * (1 + 1e-6 * k)
-        n = max(256, int(math.ceil(8 * r * freq_scale)))
+        n0 = max(256, int(math.ceil(8 * r * freq_scale)))
         history: list[complex] = []
         # budget exhaustion also falls through to the next nudge: a zero
         # just inside the contour slows trapezoid convergence the same way
         # a zero on it does
-        while n <= _MAX_POINTS:
-            raw = _disk_raw(f, df, center, r, n)
+        for n, raw in _disk_levels(fdf, center, r, n0):
             if raw is None:
                 saw_zero_signal = True
                 break
@@ -176,7 +212,6 @@ def count_zeros_disk(
             if _is_stalled(history):
                 saw_zero_signal = True
                 break
-            n *= 2
     if saw_zero_signal:
         raise ContourThroughZero(
             f"contour |z - {center}| = {radius} passes through a zero "
@@ -190,49 +225,65 @@ def count_zeros_disk(
     )
 
 
-def _rect_raw(f, df, rect: Rectangle, points_per_unit: float, min_points: int):
+def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
+    """Yield the raw winding number on the boundary of rect, level by level.
+
+    Edge e starts with n_e = max(min_points, ceil(per_unit * length)) panels
+    and every level doubles each n_e exactly.  Edge nodes are
+    a + (b - a) * k / n_e for k < n_e (the end corner is the next edge's
+    first node), so each node is evaluated once and later levels evaluate
+    only the odd k of the doubled grid, all four edges in one call.  The
+    trapezoid sum per edge is h_e * (sum over its nodes - g(a) / 2 +
+    g(b) / 2).  Yields None when a sample of f vanishes against the median
+    or the sum is not finite, and then stops.
+    """
     corners = rect.corners
-    total = 0.0 + 0.0j
-    f_min = np.inf
-    f_abs = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(min_points, int(math.ceil(points_per_unit * abs(b - a))))
-        t = np.linspace(0.0, 1.0, n + 1)
-        z = a + (b - a) * t
-        fv = np.asarray(f(z), dtype=complex)
+    sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+    counts = [max(min_points, int(math.ceil(per_unit * abs(s)))) for s in sides]
+    sums = [0j] * 4
+    corner_g = None
+    absf = np.empty(0)
+    start, step = 0, 1
+    while True:
+        ks = [np.arange(start, n, step) for n in counts]
+        z = np.concatenate([a + s * (k / n) for a, s, k, n in zip(corners, sides, ks, counts)])
+        fv, dfv = _contour_values(fdf, z)
+        absf = np.concatenate([absf, np.abs(fv)])
+        if _guard_trips(absf):
+            yield None
+            return
         with np.errstate(all="ignore"):
-            g = np.asarray(df(z), dtype=complex) / fv
-        weights = np.ones(n + 1)
-        weights[0] = weights[-1] = 0.5
-        total += (b - a) / n * np.sum(weights * g)
-        absf = np.abs(fv)
-        f_min = min(f_min, float(absf.min()))
-        f_abs.append(absf)
-    if f_min < _CONTOUR_GUARD * np.median(np.concatenate(f_abs)):
-        return None
-    raw = total / (2j * np.pi)
-    if not np.isfinite(raw):
-        return None
-    return complex(raw)
+            edges = np.split(dfv / fv, np.cumsum([len(k) for k in ks[:-1]]))
+        if corner_g is None:
+            corner_g = [complex(g[0]) for g in edges]
+        sums = [total + complex(g.sum()) for total, g in zip(sums, edges)]
+        ends = corner_g[1:] + corner_g[:1]
+        raw = sum(
+            side / n * (total + (g_b - g_a) / 2)
+            for side, n, total, g_a, g_b in zip(sides, counts, sums, corner_g, ends)
+        ) / (2j * np.pi)
+        if not np.isfinite(raw):
+            yield None
+            return
+        yield raw
+        start, step = 1, 2
+        counts = [2 * n for n in counts]
 
 
 def count_zeros_rect(
-    f,
-    df,
+    fdf,
     rect: Rectangle,
     freq_scale: float = 1.0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> int:
-    """Count zeros of f inside a rectangle.
+    """Count zeros of f inside a rectangle; fdf(z) returns (f(z), f'(z)).
 
     Raises ContourThroughZero when a zero sits on (or hugs) the boundary;
     callers own the geometry and retry with moved edges.
     """
-    per_unit = 8 * freq_scale
-    min_points = 64
     history: list[complex] = []
-    for _ in range(_RECT_DOUBLINGS):
-        raw = _rect_raw(f, df, rect, per_unit, min_points)
+    levels = _rect_levels(fdf, rect, 8 * freq_scale, 64)
+    for raw in itertools.islice(levels, _RECT_DOUBLINGS):
         if raw is None:
             raise ContourThroughZero(f"zero on the boundary of {rect}", where=rect)
         history.append(raw)
@@ -244,21 +295,21 @@ def count_zeros_rect(
             raise ContourThroughZero(
                 f"winding stalled off-integer on {rect}", where=rect
             )
-        per_unit *= 2
-        min_points *= 2
     raise QuadratureDivergence(
         f"winding number did not stabilize on {rect}", where=rect
     )
 
 
-def newton_polish(f, df, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
-    """Newton iteration on f from z0; returns (z, converged)."""
+def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
+    """Newton iteration on f from z0, with fdf(z) = (f(z), f'(z));
+    returns (z, converged)."""
     z = complex(z0)
     for _ in range(max_iter):
-        dfz = complex(df(z))
+        fz, dfz = fdf(z)
+        dfz = complex(dfz)
         if dfz == 0 or not np.isfinite(dfz):
             return z, False
-        step = complex(f(z)) / dfz
+        step = complex(fz) / dfz
         z -= step
         if not np.isfinite(z):
             return z, False
@@ -267,21 +318,21 @@ def newton_polish(f, df, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
     return z, False
 
 
-def _newton_in_box(f, df, box: Rectangle):
+def _newton_in_box(fdf, box: Rectangle):
     diag = math.hypot(box.width, box.height)
     for z0 in (box.center,) + box.corners:
-        z, ok = newton_polish(f, df, z0)
+        z, ok = newton_polish(fdf, z0)
         if ok and box.contains(z, pad=1e-9 * diag):
             return z
     return None
 
 
-def _newton_common_point(f, df, box: Rectangle):
+def _newton_common_point(fdf, box: Rectangle):
     """Common Newton limit from the box corners and center, if any."""
     diag = math.hypot(box.width, box.height)
     points = []
     for z0 in (box.center,) + box.corners:
-        z, ok = newton_polish(f, df, z0)
+        z, ok = newton_polish(fdf, z0)
         if not ok:
             return None
         points.append(z)
@@ -298,7 +349,7 @@ def _newton_common_point(f, df, box: Rectangle):
 _SPLIT_SHIFTS = (0.0, 1e-3, -1e-3, 3.7e-3, -3.7e-3, 7.1e-3)
 
 
-def _split_box(f, df, box: Rectangle, count: int, freq_scale: float, residual_tol: float):
+def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol: float):
     for shift in _SPLIT_SHIFTS:
         xm = (box.re_min + box.re_max) / 2 + shift * box.width
         ym = (box.im_min + box.im_max) / 2 + shift * box.height
@@ -310,7 +361,7 @@ def _split_box(f, df, box: Rectangle, count: int, freq_scale: float, residual_to
         )
         try:
             counts = [
-                count_zeros_rect(f, df, child, freq_scale, residual_tol)
+                count_zeros_rect(fdf, child, freq_scale, residual_tol)
                 for child in children
             ]
         except (ContourThroughZero, QuadratureDivergence):
@@ -323,14 +374,13 @@ def _split_box(f, df, box: Rectangle, count: int, freq_scale: float, residual_to
 
 
 def find_resonances(
-    f,
-    df,
+    fdf,
     region: Rectangle,
     max_depth: int = 14,
     freq_scale: float = 1.0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[Resonance]:
-    """Locate the zeros of f in a rectangle with multiplicities.
+    """Locate the zeros of f in a rectangle; fdf(z) returns (f(z), f'(z)).
 
     Recursive quadrisection by argument-principle counts: single-zero boxes
     are polished by Newton iteration; boxes still holding several zeros at
@@ -343,7 +393,7 @@ def find_resonances(
     for k in range(_MAX_NUDGES + 1):
         candidate = region if k == 0 else region.expanded(1 + 1e-6 * k)
         try:
-            count = count_zeros_rect(f, df, candidate, freq_scale, residual_tol)
+            count = count_zeros_rect(fdf, candidate, freq_scale, residual_tol)
             root = candidate
             break
         except (ContourThroughZero, QuadratureDivergence):
@@ -360,19 +410,19 @@ def find_resonances(
         if c == 0:
             continue
         if c == 1:
-            z = _newton_in_box(f, df, box)
+            z = _newton_in_box(fdf, box)
             if z is not None:
-                out.append(Resonance(z, 1, abs(complex(f(z))), False))
+                out.append(Resonance(z, 1, abs(complex(fdf(z)[0])), False))
                 continue
         if depth >= max_depth:
-            z = _newton_common_point(f, df, box)
+            z = _newton_common_point(fdf, box)
             if z is not None:
-                out.append(Resonance(z, c, abs(complex(f(z))), False))
+                out.append(Resonance(z, c, abs(complex(fdf(z)[0])), False))
             else:
                 zc = box.center
-                out.append(Resonance(zc, c, abs(complex(f(zc))), True))
+                out.append(Resonance(zc, c, abs(complex(fdf(zc)[0])), True))
             continue
-        for child, cc in _split_box(f, df, box, c, freq_scale, residual_tol):
+        for child, cc in _split_box(fdf, box, c, freq_scale, residual_tol):
             stack.append((child, cc, depth + 1))
     out.sort(key=lambda r: (r.location.real, r.location.imag))
     return out
@@ -400,10 +450,8 @@ def counting_function(
     if cancel_tol is not None:
         kwargs["cancel_tol"] = cancel_tol
     epoly, _ = expand(strengths, config, **kwargs)
-    f = epoly.evaluate
-    df = epoly.derivative().evaluate
     scale = max(epoly.effective_size, 1e-3)
     return [
-        count_zeros_disk(f, df, r, freq_scale=scale, residual_tol=residual_tol)
+        count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale, residual_tol=residual_tol)
         for r in radii
     ]

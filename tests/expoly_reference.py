@@ -6,6 +6,9 @@ replaced with a single vectorized pass; it keeps the original arithmetic
 group at a time), so the vectorized code can be compared with it bit for
 bit.  `leibniz_terms` materializes one term object per permutation and is
 the slowest, most literal reading of the Leibniz expansion.
+`evaluate_reference` sums P_b(z) e^{i b z} one term at a time, and
+`derivative_reference` builds (P' + i b P) term by term, as `evaluate` and
+`derivative` did before the fused value-and-derivative kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from numpy.polynomial import polynomial as npoly
 
 from resonance_sizer import (
     Configuration,
+    ExpoPolynomial,
     Permutation,
     TooLarge,
     distance_matrix,
@@ -159,3 +163,23 @@ def expand_reference(
         if len(nz):
             terms.append((freq, summed[: nz[-1] + 1]))
     return terms, groups, tuple(cancelled_freqs)
+
+
+def evaluate_reference(epoly, z):
+    """sum_b P_b(z) e^{i b z}, one polyval and one exp per term."""
+    zz = np.asarray(z, dtype=complex)
+    total = np.zeros_like(zz)
+    for b, coeffs in epoly.terms:
+        total = total + npoly.polyval(zz, coeffs) * np.exp(1j * b * zz)
+    return total
+
+
+def derivative_reference(epoly):
+    """The termwise derivative (P' + i b P) e^{i b z}, one term at a time."""
+    out = []
+    for b, coeffs in epoly.terms:
+        dc = 1j * b * coeffs.astype(complex)
+        if len(coeffs) > 1:
+            dc[:-1] += np.arange(1, len(coeffs)) * coeffs[1:]
+        out.append((b, dc))
+    return ExpoPolynomial(out)

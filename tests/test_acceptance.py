@@ -270,9 +270,9 @@ def test_c09_pair_resonance_residuals_and_disk_consistency():
     start = time.time()
     cfg = validate_configuration([(0, 0, 0), (1, 0, 0)])
     epoly, _ = expand([0, 0], cfg)
-    f, df = epoly.evaluate, epoly.derivative().evaluate
+    fdf = epoly.value_and_derivative
 
-    found = find_resonances(f, df, Rectangle(0, 20, -5, 0), freq_scale=2.0)
+    found = find_resonances(fdf, Rectangle(0, 20, -5, 0), freq_scale=2.0)
     assert found
     worst = 0.0
     for res in found:
@@ -283,8 +283,8 @@ def test_c09_pair_resonance_residuals_and_disk_consistency():
         assert not res.is_cluster
 
     # enclosing disk: |z| < 21 covers the rectangle (corner modulus ~20.6)
-    disk = count_zeros_disk(f, df, 21.0, freq_scale=2.0)
-    square = find_resonances(f, df, Rectangle(-21, 21, -21, 21), freq_scale=2.0)
+    disk = count_zeros_disk(fdf, 21.0, freq_scale=2.0)
+    square = find_resonances(fdf, Rectangle(-21, 21, -21, 21), freq_scale=2.0)
     in_disk = sum(r.multiplicity for r in square if abs(r.location) < 21.0)
     assert in_disk == disk.count
     elapsed = time.time() - start

@@ -21,7 +21,13 @@ from resonance_sizer import (
     zero_frequency_polynomial,
 )
 from tests.conftest import DISPHENOID_CENTERS
-from tests.expoly_reference import expand_reference, leibniz_terms
+from resonance_sizer.expoly import _KERNEL_BLOCK
+from tests.expoly_reference import (
+    derivative_reference,
+    evaluate_reference,
+    expand_reference,
+    leibniz_terms,
+)
 
 FOUR_PI = 4 * np.pi
 
@@ -305,6 +311,71 @@ class TestExpoPolynomial:
         )
         z = 1.1 - 0.3j
         assert rebuilt.evaluate(z) == pytest.approx(epoly.evaluate(z), rel=1e-15)
+
+
+def _sample_points(rng, size):
+    return rng.uniform(-30, 30, size) + 1j * rng.uniform(-8, 3, size)
+
+
+class TestValueAndDerivative:
+    """The fused kernel against separate D and D' evaluations."""
+
+    @staticmethod
+    def check(epoly, z):
+        f, df = epoly.value_and_derivative(z)
+        for got, want in [
+            (f, epoly.evaluate(z)),
+            (f, evaluate_reference(epoly, z)),
+            (df, epoly.derivative().evaluate(z)),
+            (df, evaluate_reference(derivative_reference(epoly), z)),
+        ]:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random(self, n):
+        rng = np.random.default_rng(200 + n)
+        cfg = random_configuration(n, rng)
+        epoly, _ = expand(rng.normal(size=n) + 1j * rng.normal(size=n), cfg)
+        self.check(epoly, _sample_points(rng, 500))
+
+    @pytest.mark.parametrize("strengths", [np.zeros(4), [0.3, -0.2, 0.1, 0.5], [0.2j, 1, -1j, 0.5 + 0.5j]])
+    def test_disphenoid(self, disphenoid, strengths):
+        epoly, _ = expand(strengths, disphenoid)
+        self.check(epoly, _sample_points(np.random.default_rng(3), 500))
+
+    def test_zero_frequency_polynomial(self):
+        epoly = zero_frequency_polynomial([1j, 2j, -0.5, 0.3 + 0.1j])
+        self.check(epoly, _sample_points(np.random.default_rng(4), 200))
+
+    def test_scalar_gives_complex_pair(self, unit_pair):
+        epoly, _ = expand([0.1, 0.2j], unit_pair)
+        f, df = epoly.value_and_derivative(1.3 - 0.2j)
+        assert type(f) is complex and type(df) is complex
+        fa, dfa = epoly.value_and_derivative(np.array([1.3 - 0.2j]))
+        assert f == fa[0] and df == dfa[0]
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_keeps_shape(self, unit_pair, shape):
+        epoly, _ = expand([0.1, 0.2j], unit_pair)
+        rng = np.random.default_rng(5)
+        z = _sample_points(rng, int(np.prod(shape))).reshape(shape)
+        f, df = epoly.value_and_derivative(z)
+        assert np.shape(f) == np.shape(df) == shape
+        flat_f, flat_df = epoly.value_and_derivative(z.ravel())
+        np.testing.assert_array_equal(np.ravel(f), flat_f)
+        np.testing.assert_array_equal(np.ravel(df), flat_df)
+
+    def test_longer_than_one_block(self):
+        rng = np.random.default_rng(6)
+        cfg = random_configuration(5, rng)
+        epoly, _ = expand(rng.normal(size=5), cfg)
+        rows = _KERNEL_BLOCK // len(epoly.terms)
+        self.check(epoly, _sample_points(rng, 3 * rows + 5))
+
+    def test_empty(self):
+        f, df = ExpoPolynomial([]).value_and_derivative(np.array([0.5, 1j]))
+        np.testing.assert_array_equal(f, [0, 0])
+        np.testing.assert_array_equal(df, [0, 0])
 
 
 def test_zero_frequency_polynomial_roots():

@@ -71,8 +71,7 @@ def test_determinant_vanishes_at_found_resonance(unit_pair):
 
     epoly, _ = expand([0, 0], unit_pair)
     found = find_resonances(
-        epoly.evaluate,
-        epoly.derivative().evaluate,
+        epoly.value_and_derivative,
         Rectangle(1.0, 2.0, -1.0, -0.1),
         freq_scale=2.0,
     )

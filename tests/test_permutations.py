@@ -18,7 +18,7 @@ from resonance_sizer import (
     enumerate_classes,
     permutation_sign,
 )
-from resonance_sizer._sweep import rank_parity
+from resonance_sizer._sweep import perm_blocks, rank_parity
 
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda p: Permutation(tuple(p)))
@@ -87,6 +87,28 @@ def test_rank_parity_matches_sign():
         for rank, image in enumerate(itertools.permutations(range(n))):
             parity = int(rank_parity(np.array([rank]), n)[0])
             assert (-1) ** parity == permutation_sign(Permutation(image))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_perm_blocks_match_itertools(n):
+    blocks = list(perm_blocks(n))
+    reference = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), reference)
+    starts = [start for start, _ in blocks]
+    assert starts == [0] + np.cumsum([len(b) for _, b in blocks[:-1]]).tolist()
+    assert all(b.dtype == np.int64 for _, b in blocks)
+    if n <= 7:  # n! fits one default block: the cached table itself
+        assert len(blocks) == 1 and not blocks[0][1].flags.writeable
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 7, 24, 100])
+def test_perm_blocks_small_blocks(block_size):
+    reference = np.array(list(itertools.permutations(range(5))), dtype=np.int64)
+    blocks = list(perm_blocks(5, block_size))
+    assert max(len(b) for _, b in blocks) <= block_size
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), reference)
+    for start, block in blocks:
+        assert np.array_equal(block, reference[start : start + len(block)])
 
 
 def test_edge_multigraph_identity_loops():
