@@ -40,7 +40,6 @@ from .expoly import (
 from .gammadet import determinant_direct, gamma_matrix
 from .geometry import (
     Configuration,
-    StrengthTuple,
     distance_matrix,
     random_configuration,
     scale_configuration,
@@ -48,8 +47,6 @@ from .geometry import (
 )
 from .permutations import (
     ClassRepresentatives,
-    CycleDecomposition,
-    EdgeMultigraph,
     Permutation,
     class_mates,
     cycle_decompose,
@@ -80,8 +77,6 @@ __all__ = [
     "Configuration",
     "ContourThroughZero",
     "CountingReport",
-    "CycleDecomposition",
-    "EdgeMultigraph",
     "ExpoPolynomial",
     "GenericityReport",
     "NonpositiveScale",
@@ -95,7 +90,6 @@ __all__ = [
     "ScanSummary",
     "SizeMismatch",
     "SizeReport",
-    "StrengthTuple",
     "TooFewCenters",
     "TooFewPoints",
     "TooLarge",

@@ -1,6 +1,6 @@
 """Vectorized block sweeps over the full symmetric group.
 
-The size maximization and the determinant expansion both need one pass over
+The determinant expansion and the class enumeration each need one pass over
 all N! permutations in lexicographic order.  Permutations are materialized
 in blocks and reduced with numpy; the permutation sign is recovered from the
 lexicographic rank through its factorial-base digits (whose sum is the
@@ -75,14 +75,6 @@ def rank_parity(ranks: np.ndarray, n: int) -> np.ndarray:
         total += (ranks // f) % (n - i)
         f //= n - 1 - i
     return total & 1
-
-
-def v_blocks(d: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (perms, V) blocks with V[r] = sum_j d[j, perm[r, j]]."""
-    n = d.shape[0]
-    ar = np.arange(n)
-    for _, perms in perm_blocks(n):
-        yield perms, d[ar, perms].sum(axis=1)
 
 
 def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

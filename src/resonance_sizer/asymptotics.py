@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TooFewPoints
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
-from .sizing import is_generic, size_v
+from .sizing import DEFAULT_GAP_TOL, is_generic, size_v
 from .zeros import counting_function
 
 DEFAULT_CLASS_TOL = 1e-8
@@ -69,6 +69,17 @@ def fit_slope(radii, counts, skip: int = 0) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+def _verdict(b_nu: float, v: float, class_tol: float) -> str:
+    """Weyl iff |b_nu - V| <= class_tol * max(1, V); NonWeyl iff b_nu falls
+    short of V by more than that."""
+    tol = class_tol * max(1.0, v)
+    if abs(b_nu - v) <= tol:
+        return WEYL
+    if b_nu < v - tol:
+        return NON_WEYL
+    return INCONCLUSIVE
+
+
 def classify(
     strengths,
     config: Configuration,
@@ -90,14 +101,8 @@ def classify(
     a = strength_values(strengths, config.n)
     epoly, _ = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
     b_nu = epoly.effective_size
-    v = size_v(config, mode="assignment").v
-    tol = class_tol * max(1.0, v)
-    if abs(b_nu - v) <= tol:
-        classification = WEYL
-    elif b_nu < v - tol:
-        classification = NON_WEYL
-    else:
-        classification = INCONCLUSIVE
+    v = size_v(config).v
+    classification = _verdict(b_nu, v, class_tol)
     discrepancies = {"b_nu_vs_v": abs(b_nu - v) / max(1.0, v)}
 
     radii_out = counts = residuals = None
@@ -148,7 +153,7 @@ def genericity_scan(
     box_side: float = 1.0,
     min_gap: float | None = None,
     strengths=None,
-    gap_tol: float | None = None,
+    gap_tol: float = DEFAULT_GAP_TOL,
     class_tol: float = DEFAULT_CLASS_TOL,
     freq_tol: float = DEFAULT_FREQ_TOL,
     cancel_tol: float = DEFAULT_CANCEL_TOL,
@@ -179,8 +184,7 @@ def genericity_scan(
         generic_flags.append(report.is_generic)
         min_gaps.append(report.min_gap)
         epoly, cancels = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
-        v = size_v(config, mode="assignment").v
-        weyl_flags.append(abs(epoly.effective_size - v) <= class_tol * max(1.0, v))
+        weyl_flags.append(_verdict(epoly.effective_size, size_v(config).v, class_tol) == WEYL)
         near = cancels.near_cancellations(factor=near_factor)
         if near:
             near_count += len(near)

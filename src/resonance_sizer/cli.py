@@ -17,16 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .asymptotics import DEFAULT_CLASS_TOL, genericity_scan
 from .asymptotics import classify as classify_report
-from .asymptotics import genericity_scan
 from .errors import NumericalError, ValidationError
-from .expoly import expand, zero_frequency_polynomial
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand, zero_frequency_polynomial
 from .geometry import Configuration, distance_matrix, validate_configuration
-from .permutations import MAX_ENUM_N
-from .sizing import is_generic
+from .sizing import DEFAULT_GAP_TOL, is_generic
 from .zeros import Rectangle, counting_function, find_resonances
 
-_TOL_KEYS = ("freq_tol", "cancel_tol", "gap_tol", "class_tol")
+_DEFAULT_TOLERANCES = {
+    "freq_tol": DEFAULT_FREQ_TOL,
+    "cancel_tol": DEFAULT_CANCEL_TOL,
+    "gap_tol": DEFAULT_GAP_TOL,
+    "class_tol": DEFAULT_CLASS_TOL,
+}
 
 
 @dataclass
@@ -35,10 +39,9 @@ class RunConfig:
 
     config: Configuration
     strengths: np.ndarray
-    tolerances: dict
+    tolerances: dict  # every key of _DEFAULT_TOLERANCES, each a finite float > 0
     radii: list[float] | None
     region: Rectangle | None
-    seed: int
 
 
 def _parse_strength(entry, index: int) -> complex:
@@ -75,10 +78,18 @@ def load_run_config(path: str) -> RunConfig:
         [_parse_strength(e, i) for i, e in enumerate(strengths_raw)], dtype=complex
     )
 
-    tolerances = dict(raw.get("tolerances", {}))
-    unknown = set(tolerances) - set(_TOL_KEYS)
+    given = raw.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValidationError("tolerances must be a JSON object")
+    unknown = set(given) - set(_DEFAULT_TOLERANCES)
     if unknown:
         raise ValidationError(f"unknown tolerance keys: {sorted(unknown)}")
+    for key, value in given.items():
+        # NaN fails the range test; bool is an int subclass but no tolerance
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value <= sys.float_info.max):
+            raise ValidationError(f"tolerance {key} must be a finite number > 0, got {value!r}")
+    tolerances = {**_DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}}
 
     radii = None
     if "counting" in raw:
@@ -112,7 +123,6 @@ def load_run_config(path: str) -> RunConfig:
         tolerances=tolerances,
         radii=radii,
         region=region,
-        seed=int(raw.get("seed", 0)),
     )
 
 
@@ -131,12 +141,14 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _expand(rc: RunConfig):
+    tol = rc.tolerances
+    return expand(rc.strengths, rc.config, freq_tol=tol["freq_tol"], cancel_tol=tol["cancel_tol"])
+
+
 def cmd_expand(args) -> int:
     rc = load_run_config(args.config)
-    kwargs = {
-        k: rc.tolerances[k] for k in ("freq_tol", "cancel_tol") if k in rc.tolerances
-    }
-    epoly, cancels = expand(rc.strengths, rc.config, **kwargs)
+    epoly, cancels = _expand(rc)
     if args.csv:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,14 +191,16 @@ def cmd_expand(args) -> int:
 
 def cmd_classify(args) -> int:
     rc = load_run_config(args.config)
-    kwargs = {k: rc.tolerances[k] for k in ("freq_tol", "cancel_tol") if k in rc.tolerances}
-    if "class_tol" in rc.tolerances:
-        kwargs["class_tol"] = rc.tolerances["class_tol"]
-    radii = rc.radii if args.with_counts else None
-    report = classify_report(rc.strengths, rc.config, radii=radii, **kwargs)
-    generic = None
-    if rc.config.n <= MAX_ENUM_N:
-        generic = is_generic(rc.config, gap_tol=rc.tolerances.get("gap_tol")).is_generic
+    tol = rc.tolerances
+    report = classify_report(
+        rc.strengths,
+        rc.config,
+        radii=rc.radii if args.with_counts else None,
+        class_tol=tol["class_tol"],
+        freq_tol=tol["freq_tol"],
+        cancel_tol=tol["cancel_tol"],
+    )
+    generic = is_generic(rc.config, gap_tol=tol["gap_tol"]).is_generic
     _emit_json(
         {
             "n": rc.config.n,
@@ -213,8 +227,8 @@ def cmd_count(args) -> int:
         rc.strengths,
         rc.config,
         rc.radii,
-        freq_tol=rc.tolerances.get("freq_tol"),
-        cancel_tol=rc.tolerances.get("cancel_tol"),
+        freq_tol=rc.tolerances["freq_tol"],
+        cancel_tol=rc.tolerances["cancel_tol"],
     )
     writer = csv.writer(sys.stdout)
     writer.writerow(["R", "count", "winding_residual"])
@@ -231,15 +245,7 @@ def cmd_resonances(args) -> int:
         epoly = zero_frequency_polynomial(rc.strengths)
         freq_scale = 1.0
     else:
-        epoly, _ = expand(
-            rc.strengths,
-            rc.config,
-            **{
-                k: rc.tolerances[k]
-                for k in ("freq_tol", "cancel_tol")
-                if k in rc.tolerances
-            },
-        )
+        epoly, _ = _expand(rc)
         freq_scale = max(epoly.effective_size, 1e-3)
     found = find_resonances(epoly.value_and_derivative, rc.region, freq_scale=freq_scale)
     rows = [

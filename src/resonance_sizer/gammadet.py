@@ -13,9 +13,6 @@ import numpy as np
 
 from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
 
-# |Im z| * max distance beyond this overflows double precision in e^{izd}.
-MAX_LOG_SCALE = 700.0
-
 
 def gamma_matrix(strengths, config: Configuration, z: complex) -> np.ndarray:
     """Assemble the complex-symmetric interaction matrix at spectral point z."""

@@ -62,29 +62,6 @@ class Configuration:
         return self.n
 
 
-@dataclass(frozen=True)
-class StrengthTuple:
-    """Tuple of finite complex strength parameters, one per center."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=complex).reshape(-1)
-        if vals.size == 0:
-            raise ValidationError("strength tuple must be nonempty")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("strength parameters must be finite (infinity disallowed)")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
-
-
 def validate_configuration(raw) -> Configuration:
     """Build a Configuration from raw point triples, or raise.
 
@@ -97,8 +74,14 @@ def validate_configuration(raw) -> Configuration:
 
 
 def strength_values(a, n: int | None = None) -> np.ndarray:
-    """Coerce strengths to a validated complex vector of length n."""
-    vals = a.values if isinstance(a, StrengthTuple) else StrengthTuple(np.asarray(a)).values
+    """Coerce strengths to a read-only, finite, nonempty complex vector of
+    length n."""
+    vals = np.array(a, dtype=complex).reshape(-1)
+    if vals.size == 0:
+        raise ValidationError("strength tuple must be nonempty")
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("strength parameters must be finite (infinity disallowed)")
+    vals.setflags(write=False)
     if n is not None and vals.shape[0] != n:
         raise SizeMismatch(f"expected {n} strength parameters, got {vals.shape[0]}")
     return vals

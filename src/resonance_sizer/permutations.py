@@ -66,39 +66,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def __str__(self) -> str:
-        cycles = cycle_decompose(self).cycles
+        cycles = cycle_decompose(self)
         return "".join("[" + " ".join(str(j + 1) for j in c) + "]" for c in cycles)
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles covering {1..N}, singletons included.
-
-    Canonical form: each cycle rotated to start at its smallest element,
-    cycles sorted by that element.
-    """
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.cycles)
-
-
-@dataclass(frozen=True)
-class EdgeMultigraph:
-    """Undirected multigraph of a permutation as a sorted tuple of pairs.
-
-    Every index j contributes one normalized pair {j, sigma(j)} (loops
-    included), so the total multiplicity is always N and the multiplicity
-    of an edge is its repetition count.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def multiplicity(self, j: int, k: int) -> int:
-        key = (min(j, k), max(j, k))
-        return sum(1 for p in self.pairs if p == key)
 
 
 @dataclass(frozen=True)
@@ -113,8 +82,12 @@ class ClassRepresentatives:
         return len(self.representatives)
 
 
-def cycle_decompose(sigma: Permutation) -> CycleDecomposition:
-    """Decompose into disjoint cycles in canonical order."""
+def cycle_decompose(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles covering {0..N-1}, singletons included.
+
+    Canonical form: each cycle starts at its smallest element, and cycles
+    are sorted by that element.
+    """
     seen = [False] * sigma.n
     cycles = []
     for start in range(sigma.n):
@@ -130,18 +103,22 @@ def cycle_decompose(sigma: Permutation) -> CycleDecomposition:
         cycles.append(tuple(cyc))
     # starts are visited in increasing order, so cycles are already sorted
     # by smallest element and each begins at it
-    return CycleDecomposition(tuple(cycles))
+    return tuple(cycles)
 
 
 def permutation_sign(sigma: Permutation) -> int:
     """Sign of the permutation, computed as (-1)**(N - #cycles)."""
-    return -1 if (sigma.n - cycle_decompose(sigma).m) % 2 else 1
+    return -1 if (sigma.n - len(cycle_decompose(sigma))) % 2 else 1
 
 
-def edge_multigraph(sigma: Permutation) -> EdgeMultigraph:
-    """Strip directions off the bonds j -> sigma(j)."""
-    pairs = sorted((min(j, k), max(j, k)) for j, k in enumerate(sigma.image))
-    return EdgeMultigraph(tuple(pairs))
+def edge_multigraph(sigma: Permutation) -> tuple[tuple[int, int], ...]:
+    """Strip directions off the bonds j -> sigma(j).
+
+    Every index j contributes one normalized pair (min, max) of {j, sigma(j)},
+    loops included, so the sorted tuple has N pairs and the multiplicity of
+    an edge is its repetition count.
+    """
+    return tuple(sorted((min(j, k), max(j, k)) for j, k in enumerate(sigma.image)))
 
 
 def edge_equivalent(sigma: Permutation, tau: Permutation) -> bool:
@@ -158,7 +135,7 @@ def class_mates(sigma: Permutation) -> list[Permutation]:
     2**(number of cycles of length >= 3) since shorter cycles are
     self-inverse.
     """
-    cycles = cycle_decompose(sigma).cycles
+    cycles = cycle_decompose(sigma)
     invertible = [c for c in cycles if len(c) >= 3]
     rigid = [c for c in cycles if len(c) < 3]
     mates = set()

@@ -15,22 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import _sweep
-from .errors import SizeMismatch, TooLarge, ValidationError
+from .errors import SizeMismatch
 from .geometry import Configuration, distance_matrix, validate_configuration
-from .permutations import (
-    MAX_ENUM_N,
-    ClassRepresentatives,
-    Permutation,
-    enumerate_classes,
-)
+from .permutations import ClassRepresentatives, Permutation, enumerate_classes
 
-# Relative tolerance used for tie detection and genericity gaps; V values
-# are floating sums of distances, so exact comparison is not meaningful.
+# Relative tolerance for genericity gaps; V values are floating sums of
+# distances, so exact comparison is not meaningful.
 DEFAULT_GAP_TOL = 1e-9
-
-# Brute-force maximization cap (10! permutations).
-MAX_BRUTE_N = 10
 
 
 @dataclass(frozen=True)
@@ -39,8 +30,6 @@ class SizeReport:
 
     v: float
     argmax: Permutation
-    achievers: tuple[Permutation, ...] | None
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -65,46 +54,22 @@ def v_sigma(config: Configuration, sigma: Permutation) -> float:
     return _v_of_image(distance_matrix(config), sigma.image)
 
 
-def size_v(config: Configuration, mode: str = "assignment", tie_tol: float | None = None) -> SizeReport:
+def size_v(config: Configuration) -> SizeReport:
     """Maximize V_sigma over all permutations.
 
-    mode="assignment" solves the max-weight assignment problem on the
-    distance matrix (O(N^3)); mode="brute" scans all N! permutations
-    (N <= 10) and also reports every permutation within tie_tol of the
-    maximum (default 1e-9 * max(1, V), ties listed in lexicographic order).
-    Both modes agree wherever brute force applies.
+    Solves the max-weight assignment problem on the distance matrix in
+    O(N^3), so no permutation sweep is needed and N is not capped.
     """
     config = validate_configuration(config)
     d = distance_matrix(config)
-    n = config.n
-    if mode == "assignment":
-        rows, cols = linear_sum_assignment(d, maximize=True)
-        image = tuple(int(c) for c in cols[np.argsort(rows)])
-        return SizeReport(_v_of_image(d, image), Permutation(image), None, mode)
-    if mode != "brute":
-        raise ValidationError(f"unknown size mode: {mode!r}")
-    if n > MAX_BRUTE_N:
-        raise TooLarge(f"brute-force size capped at N <= {MAX_BRUTE_N}, got {n}")
-    best = -np.inf
-    best_image = None
-    for perms, v in _sweep.v_blocks(d):
-        i = int(np.argmax(v))
-        if v[i] > best:
-            best = float(v[i])
-            best_image = tuple(int(x) for x in perms[i])
-    tol = (DEFAULT_GAP_TOL if tie_tol is None else tie_tol) * max(1.0, best)
-    achievers = []
-    for perms, v in _sweep.v_blocks(d):
-        for row in perms[v >= best - tol]:
-            achievers.append(Permutation(tuple(int(x) for x in row)))
-    return SizeReport(best, Permutation(best_image), tuple(achievers), mode)
+    rows, cols = linear_sum_assignment(d, maximize=True)
+    image = tuple(int(c) for c in cols[np.argsort(rows)])
+    return SizeReport(_v_of_image(d, image), Permutation(image))
 
 
 def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
     """V of every edge-equivalence class representative."""
     config = validate_configuration(config)
-    if config.n > MAX_ENUM_N:
-        raise TooLarge(f"class enumeration capped at N <= {MAX_ENUM_N}, got {config.n}")
     reps = enumerate_classes(config.n)
     d = distance_matrix(config)
     images = np.asarray([r.image for r in reps.representatives])
@@ -112,17 +77,15 @@ def representative_values(config: Configuration) -> tuple[ClassRepresentatives, 
     return reps, values
 
 
-def is_generic(config: Configuration, gap_tol: float | None = None) -> GenericityReport:
+def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> GenericityReport:
     """Decide whether all class representatives have pairwise distinct V.
 
-    The gap tolerance is relative (default 1e-9, scaled by max(1, V(Y)));
-    it is reported back since genericity of a borderline configuration
-    depends on this choice.
+    The gap tolerance is relative (default 1e-9, scaled by max(1, V(Y)),
+    where V(Y) is the largest representative value); it is reported back
+    since genericity of a borderline configuration depends on this choice.
     """
-    config = validate_configuration(config)
     reps, values = representative_values(config)
-    v_max = size_v(config, mode="assignment").v
-    tol = (DEFAULT_GAP_TOL if gap_tol is None else gap_tol) * max(1.0, v_max)
+    tol = gap_tol * max(1.0, float(values.max()))
     order = np.argsort(values, kind="stable")
     gaps = np.diff(values[order])
     i = int(np.argmin(gaps))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourThroughZero, QuadratureDivergence, ValidationError
-from .expoly import expand
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration
 
 # Raw winding integrals must land this close to an integer.
@@ -113,10 +113,6 @@ class Resonance:
     is_cluster: bool = False
 
 
-class _Stalled(Exception):
-    """Internal: winding refinement pinned away from an integer."""
-
-
 def _is_stalled(history: list[complex]) -> bool:
     if len(history) < _STALL_LIMIT + 1:
         return False
@@ -124,6 +120,30 @@ def _is_stalled(history: list[complex]) -> bool:
     residuals = [abs(r - round(r.real)) for r in recent]
     steps = [abs(a - b) for a, b in zip(recent, recent[1:])]
     return all(0.15 <= r <= 0.85 for r in residuals) and all(s <= 0.02 for s in steps)
+
+
+def _settle(levels, residual_tol: float, where) -> tuple[int, float, int]:
+    """Refine a contour until its winding number settles.
+
+    levels yields (points, raw winding number) per refinement, raw None
+    once a sample of f vanished.  Returns (count, residual, points) as soon
+    as the rounded count repeats with a residual <= residual_tol.  Raises
+    ContourThroughZero for a vanishing sample or a residual stalled
+    off-integer, and QuadratureDivergence when the levels run out.
+    """
+    history: list[complex] = []
+    for points, raw in levels:
+        if raw is None:
+            raise ContourThroughZero(f"zero on the boundary of {where}", where=where)
+        history.append(raw)
+        if len(history) >= 2:
+            count = int(round(raw.real))
+            residual = abs(raw - count)
+            if count == int(round(history[-2].real)) and residual <= residual_tol:
+                return count, residual, points
+        if _is_stalled(history):
+            raise ContourThroughZero(f"winding stalled off-integer on {where}", where=where)
+    raise QuadratureDivergence(f"winding number did not stabilize on {where}", where=where)
 
 
 def _contour_values(fdf, z: np.ndarray):
@@ -195,23 +215,18 @@ def count_zeros_disk(
     for k in range(_MAX_NUDGES + 1):
         r = radius * (1 + 1e-6 * k)
         n0 = max(256, int(math.ceil(8 * r * freq_scale)))
-        history: list[complex] = []
-        # budget exhaustion also falls through to the next nudge: a zero
-        # just inside the contour slows trapezoid convergence the same way
-        # a zero on it does
-        for n, raw in _disk_levels(fdf, center, r, n0):
-            if raw is None:
-                saw_zero_signal = True
-                break
-            history.append(raw)
-            if len(history) >= 2:
-                count = int(round(raw.real))
-                residual = abs(raw - count)
-                if count == int(round(history[-2].real)) and residual <= residual_tol:
-                    return ZeroCount(radius, count, residual, n, r)
-            if _is_stalled(history):
-                saw_zero_signal = True
-                break
+        levels = _disk_levels(fdf, center, r, n0)
+        try:
+            count, residual, n = _settle(levels, residual_tol, r)
+        except ContourThroughZero:
+            saw_zero_signal = True
+            continue
+        except QuadratureDivergence:
+            # budget exhaustion also falls through to the next nudge: a zero
+            # just inside the contour slows trapezoid convergence the same
+            # way a zero on it does
+            continue
+        return ZeroCount(radius, count, residual, n, r)
     if saw_zero_signal:
         raise ContourThroughZero(
             f"contour |z - {center}| = {radius} passes through a zero "
@@ -226,7 +241,7 @@ def count_zeros_disk(
 
 
 def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
-    """Yield the raw winding number on the boundary of rect, level by level.
+    """Yield (nodes, raw winding number) on the boundary of rect, level by level.
 
     Edge e starts with n_e = max(min_points, ceil(per_unit * length)) panels
     and every level doubles each n_e exactly.  Edge nodes are
@@ -234,8 +249,8 @@ def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
     first node), so each node is evaluated once and later levels evaluate
     only the odd k of the doubled grid, all four edges in one call.  The
     trapezoid sum per edge is h_e * (sum over its nodes - g(a) / 2 +
-    g(b) / 2).  Yields None when a sample of f vanishes against the median
-    or the sum is not finite, and then stops.
+    g(b) / 2).  Yields None for the raw value when a sample of f vanishes
+    against the median or the sum is not finite, and then stops.
     """
     corners = rect.corners
     sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
@@ -250,7 +265,7 @@ def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
         fv, dfv = _contour_values(fdf, z)
         absf = np.concatenate([absf, np.abs(fv)])
         if _guard_trips(absf):
-            yield None
+            yield len(absf), None
             return
         with np.errstate(all="ignore"):
             edges = np.split(dfv / fv, np.cumsum([len(k) for k in ks[:-1]]))
@@ -263,9 +278,9 @@ def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
             for side, n, total, g_a, g_b in zip(sides, counts, sums, corner_g, ends)
         ) / (2j * np.pi)
         if not np.isfinite(raw):
-            yield None
+            yield len(absf), None
             return
-        yield raw
+        yield len(absf), raw
         start, step = 1, 2
         counts = [2 * n for n in counts]
 
@@ -281,23 +296,8 @@ def count_zeros_rect(
     Raises ContourThroughZero when a zero sits on (or hugs) the boundary;
     callers own the geometry and retry with moved edges.
     """
-    history: list[complex] = []
     levels = _rect_levels(fdf, rect, 8 * freq_scale, 64)
-    for raw in itertools.islice(levels, _RECT_DOUBLINGS):
-        if raw is None:
-            raise ContourThroughZero(f"zero on the boundary of {rect}", where=rect)
-        history.append(raw)
-        if len(history) >= 2:
-            count = int(round(raw.real))
-            if count == int(round(history[-2].real)) and abs(raw - count) <= residual_tol:
-                return count
-        if _is_stalled(history):
-            raise ContourThroughZero(
-                f"winding stalled off-integer on {rect}", where=rect
-            )
-    raise QuadratureDivergence(
-        f"winding number did not stabilize on {rect}", where=rect
-    )
+    return _settle(itertools.islice(levels, _RECT_DOUBLINGS), residual_tol, rect)[0]
 
 
 def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
@@ -432,8 +432,8 @@ def counting_function(
     strengths,
     config: Configuration,
     radii,
-    freq_tol: float | None = None,
-    cancel_tol: float | None = None,
+    freq_tol: float = DEFAULT_FREQ_TOL,
+    cancel_tol: float = DEFAULT_CANCEL_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[ZeroCount]:
     """Zero counts of the expanded determinant in disks |z| < R.
@@ -444,12 +444,7 @@ def counting_function(
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    kwargs = {}
-    if freq_tol is not None:
-        kwargs["freq_tol"] = freq_tol
-    if cancel_tol is not None:
-        kwargs["cancel_tol"] = cancel_tol
-    epoly, _ = expand(strengths, config, **kwargs)
+    epoly, _ = expand(strengths, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
     scale = max(epoly.effective_size, 1e-3)
     return [
         count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale, residual_tol=residual_tol)

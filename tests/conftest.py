@@ -1,9 +1,11 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from resonance_sizer import validate_configuration
+from resonance_sizer import distance_matrix, validate_configuration
 
 # Tetragonal disphenoid: three fixed-point-free permutation classes tie at
 # the top frequency V = 4 * side and their weights cancel for every choice
@@ -11,6 +13,25 @@ from resonance_sizer import validate_configuration
 DISPHENOID_CENTERS = ((0.3, 0, 0), (-0.3, 0, 0), (0, 0.3, 1), (0, -0.3, 1))
 DISPHENOID_B_NU = 3.372556098240043
 DISPHENOID_V = 4.345112196480086
+
+
+@lru_cache(maxsize=None)
+def _all_permutations(n):
+    return np.array(list(itertools.permutations(range(n))))
+
+
+def brute_size(config):
+    """Brute-force size oracle over all N! permutations.
+
+    Returns V(Y) and the set of permutation images within
+    1e-9 * max(1, V) of it (the ties).
+    """
+    d = distance_matrix(config)
+    perms = _all_permutations(config.n)
+    v = d[np.arange(config.n), perms].sum(axis=1)
+    best = float(v.max())
+    close = perms[v >= best - 1e-9 * max(1.0, best)]
+    return best, {tuple(int(x) for x in p) for p in close}
 
 
 def random_rotation(rng):

@@ -58,6 +58,25 @@ def test_missing_strengths_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "tolerances",
+    [{"freq_tol": "x"}, [1, 2], {"freq_tol": -1}, {"cancel_tol": float("nan")}, {"gap_tol": True}],
+    ids=["string", "list", "negative", "nan", "bool"],
+)
+def test_malformed_tolerances_exit_2(tmp_path, capsys, tolerances):
+    path = write_config(tmp_path, tolerances=tolerances)
+    rc, _, err = run(capsys, "expand", "--config", path)
+    assert rc == 2
+    assert "tolerance" in err
+
+
+def test_config_with_seed_loads(tmp_path, capsys):
+    path = write_config(tmp_path, seed="abc")
+    rc, out, _ = run(capsys, "validate", "--config", path)
+    assert rc == 0
+    assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize(
     "strengths",
     [[[0.0, 0.0]] * 4, [[0.5, 0], [-1.0, 0], [0.25, 0], [2.0, 0]], [[0.5, 1], [0, -0.3], [1, -2], [0.1, 0]]],
     ids=["zero", "real", "complex"],

@@ -84,7 +84,7 @@ class TestLeibnizTerms:
         cfg = random_configuration(5, seed=8)
         groups = {}
         for term in leibniz_terms(np.zeros(5), cfg):
-            key = edge_multigraph(term.sigma).pairs
+            key = edge_multigraph(term.sigma)
             groups.setdefault(key, []).append(term)
         for members in groups.values():
             first = members[0]

@@ -5,7 +5,6 @@ from resonance_sizer import (
     CoincidentCenters,
     NonpositiveScale,
     SamplingExhausted,
-    StrengthTuple,
     TooFewCenters,
     ValidationError,
     distance_matrix,
@@ -13,6 +12,7 @@ from resonance_sizer import (
     scale_configuration,
     validate_configuration,
 )
+from resonance_sizer.geometry import strength_values
 from tests.conftest import apply_rigid_motion
 
 
@@ -140,8 +140,8 @@ def test_random_configuration_needs_two():
 
 def test_strengths_must_be_finite():
     with pytest.raises(ValidationError):
-        StrengthTuple([1.0, complex(np.inf, 0)])
+        strength_values([1.0, complex(np.inf, 0)])
     with pytest.raises(ValidationError):
-        StrengthTuple([np.nan])
-    st = StrengthTuple([1, 1j])
-    assert st.n == 2
+        strength_values([np.nan])
+    st = strength_values([1, 1j])
+    assert len(st) == 2

@@ -43,26 +43,26 @@ def test_permutation_validation():
 
 def test_cycle_decompose_identity():
     dec = cycle_decompose(Permutation.identity(3))
-    assert dec.cycles == ((0,), (1,), (2,))
-    assert dec.m == 3
+    assert dec == ((0,), (1,), (2,))
+    assert len(dec) == 3
 
 
 def test_cycle_decompose_three_cycle():
     dec = cycle_decompose(Permutation((1, 2, 0)))
-    assert dec.cycles == ((0, 1, 2),)
-    assert dec.m == 1
+    assert dec == ((0, 1, 2),)
+    assert len(dec) == 1
 
 
 def test_cycle_decompose_two_transpositions():
     dec = cycle_decompose(Permutation((1, 0, 3, 2)))
-    assert dec.cycles == ((0, 1), (2, 3))
-    assert dec.m == 2
+    assert dec == ((0, 1), (2, 3))
+    assert len(dec) == 2
 
 
 def test_from_cycles_roundtrip():
     sigma = Permutation.from_cycles(5, [(0, 3), (1, 4, 2)])
     assert sigma.image == (3, 4, 1, 0, 2)
-    rebuilt = Permutation.from_cycles(5, cycle_decompose(sigma).cycles)
+    rebuilt = Permutation.from_cycles(5, cycle_decompose(sigma))
     assert rebuilt == sigma
 
 
@@ -113,19 +113,19 @@ def test_perm_blocks_small_blocks(block_size):
 
 def test_edge_multigraph_identity_loops():
     g = edge_multigraph(Permutation.identity(2))
-    assert g.pairs == ((0, 0), (1, 1))
-    assert g.multiplicity(0, 0) == 1
+    assert g == ((0, 0), (1, 1))
+    assert g.count((0, 0)) == 1
 
 
 def test_edge_multigraph_swap_double_edge():
     g = edge_multigraph(Permutation((1, 0)))
-    assert g.pairs == ((0, 1), (0, 1))
-    assert g.multiplicity(0, 1) == 2
+    assert g == ((0, 1), (0, 1))
+    assert g.count((0, 1)) == 2
 
 
 def test_edge_multigraph_three_cycle_simple_edges():
     g = edge_multigraph(Permutation((1, 2, 0)))
-    assert g.pairs == ((0, 1), (0, 2), (1, 2))
+    assert g == ((0, 1), (0, 2), (1, 2))
 
 
 def test_edge_multigraph_total_multiplicity():
@@ -133,7 +133,7 @@ def test_edge_multigraph_total_multiplicity():
     for _ in range(20):
         n = int(rng.integers(2, 8))
         sigma = Permutation(tuple(rng.permutation(n)))
-        assert len(edge_multigraph(sigma).pairs) == n
+        assert len(edge_multigraph(sigma)) == n
 
 
 def test_edge_equivalent_examples():
@@ -177,7 +177,7 @@ def test_class_mates_mixed_cycles():
 @settings(max_examples=60)
 def test_class_mates_size_and_equivalence(sigma):
     mates = class_mates(sigma)
-    long_cycles = sum(1 for c in cycle_decompose(sigma).cycles if len(c) >= 3)
+    long_cycles = sum(1 for c in cycle_decompose(sigma) if len(c) >= 3)
     assert len(mates) == 2**long_cycles
     for mate in mates:
         assert edge_equivalent(sigma, mate)

@@ -6,7 +6,6 @@ import pytest
 from resonance_sizer import (
     Permutation,
     SizeMismatch,
-    TooLarge,
     class_mates,
     distance_matrix,
     edge_equivalent,
@@ -17,7 +16,7 @@ from resonance_sizer import (
     v_sigma,
     validate_configuration,
 )
-from tests.conftest import apply_rigid_motion
+from tests.conftest import apply_rigid_motion, brute_size
 
 
 def brute_max(config):
@@ -47,24 +46,28 @@ def test_v_sigma_size_mismatch(unit_pair):
 
 
 def test_size_v_pair(unit_pair):
-    report = size_v(unit_pair, mode="brute")
+    report = size_v(unit_pair)
     assert report.v == pytest.approx(2.0, rel=1e-15)
     assert report.argmax == Permutation((1, 0))
-    assert report.achievers == (Permutation((1, 0)),)
+    assert brute_size(unit_pair)[1] == {(1, 0)}
 
 
 def test_size_v_equilateral(equilateral):
-    report = size_v(equilateral, mode="brute")
+    report = size_v(equilateral)
     assert report.v == pytest.approx(3.0, rel=1e-12)
     # both 3-cycles tie; transpositions reach only 2
-    assert set(a.image for a in report.achievers) == {(1, 2, 0), (2, 0, 1)}
+    achievers = brute_size(equilateral)[1]
+    assert achievers == {(1, 2, 0), (2, 0, 1)}
+    assert report.argmax.image in achievers
 
 
 def test_size_v_collinear(collinear):
-    report = size_v(collinear, mode="brute")
+    report = size_v(collinear)
     assert report.v == pytest.approx(4.0, rel=1e-15)
     # the end-swapping transposition and both 3-cycles all attain 4
-    assert set(a.image for a in report.achievers) == {(2, 1, 0), (1, 2, 0), (2, 0, 1)}
+    achievers = brute_size(collinear)[1]
+    assert achievers == {(2, 1, 0), (1, 2, 0), (2, 0, 1)}
+    assert report.argmax.image in achievers
 
 
 def test_size_v_assignment_matches_brute_small():
@@ -72,17 +75,10 @@ def test_size_v_assignment_matches_brute_small():
     for n in range(2, 7):
         for _ in range(10):
             cfg = random_configuration(n, rng)
-            brute = size_v(cfg, mode="brute")
-            assign = size_v(cfg, mode="assignment")
-            assert assign.v == pytest.approx(brute.v, abs=1e-12 * max(1.0, brute.v))
-            assert assign.achievers is None
-            assert brute.v == pytest.approx(brute_max(cfg), rel=1e-15)
-
-
-def test_size_v_brute_cap():
-    cfg = random_configuration(11, seed=0)
-    with pytest.raises(TooLarge):
-        size_v(cfg, mode="brute")
+            brute_v, _ = brute_size(cfg)
+            assign = size_v(cfg)
+            assert assign.v == pytest.approx(brute_v, abs=1e-12 * max(1.0, brute_v))
+            assert brute_v == pytest.approx(brute_max(cfg), rel=1e-15)
 
 
 def test_v_sigma_inverse_and_class_mates():
@@ -127,6 +123,16 @@ def test_is_generic_random_true():
     report = is_generic(cfg)
     assert report.is_generic
     assert report.min_gap > report.gap_tol
+
+
+def test_is_generic_gap_tol_scales_with_v():
+    rng = np.random.default_rng(41)
+    for n in range(3, 7):
+        for _ in range(5):
+            cfg = random_configuration(n, rng)
+            report = is_generic(cfg)
+            want = 1e-9 * max(1.0, size_v(cfg).v)
+            assert report.gap_tol == pytest.approx(want, rel=1e-12)
 
 
 def test_is_generic_invariant_under_rigid_motion_and_relabeling():
