@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -44,11 +45,19 @@ class RunConfig:
     region: Rectangle | None
 
 
+def _is_number(value) -> bool:
+    """A JSON number: bool is an int subclass but no number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_strength(entry, index: int) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
+    pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+    parts = entry if pair else [entry]
+    if all(map(_is_number, parts)):
+        try:
+            return complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            pass
     raise ValidationError(
         f"strengths[{index}] must be a number or an [re, im] pair, got {entry!r}"
     )
@@ -85,9 +94,8 @@ def load_run_config(path: str) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown tolerance keys: {sorted(unknown)}")
     for key, value in given.items():
-        # NaN fails the range test; bool is an int subclass but no tolerance
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value <= sys.float_info.max):
+        # NaN fails the range test
+        if not (_is_number(value) and 0 < value <= sys.float_info.max):
             raise ValidationError(f"tolerance {key} must be a finite number > 0, got {value!r}")
     tolerances = {**_DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}}
 
@@ -293,7 +301,10 @@ def cmd_scan(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state on it, and building it costs about 20 times a parse."""
     parser = argparse.ArgumentParser(
         prog="resonance-sizer",
         description=(

@@ -5,12 +5,35 @@ complex scalar or ndarray, such as ExpoPolynomial.value_and_derivative.
 Counts are winding numbers (1/2 pi i) * contour integral of f'/f, evaluated
 by trapezoid quadrature with nested point doubling (each level evaluates
 only the nodes the previous level lacks) until the raw value sits within
-a fixed residual of an integer and the rounded count stabilizes.  A zero on
-(or hugging) the contour shows up either as a vanishing |f| sample or as a
-residual stalled near a half-integer; both trigger a contour nudge.
-Localization quadrisects a rectangle, recursing on subcounts; singleton
-boxes are polished by Newton iteration and unresolved multi-zero boxes at
-maximum depth are reported as clusters with their total multiplicity.
+a fixed residual of an integer and the rounded count stabilizes.
+
+Counts are of the closed region: a zero on the boundary of a disk or a
+rectangle belongs to it.  A zero on or very near the contour "hugs" it and
+keeps the trapezoid sum from converging (or, for two such zeros, lets
+their half-windings add up to an integer).  From the second level on, a
+level that does not settle, or settles with a node whose Newton step
+|f/f'| is at most three quarters of a node spacing, runs Newton from the
+nodes whose Newton step is a local minimum along the contour and that
+short; a zero located within a quarter of the current node spacing of the
+contour stops the doubling (so does a sample of f that vanishes).  The
+count is then taken on two contours moved outward and inward by delta: the
+hugged contour's initial node spacing h, grown by h/2 until every located
+zero is at least h/2 from both.  The zeros between the two moved contours
+are located by Newton from the nodes of all three (their multiplicities
+come from small disks when the counts ask for it), and each is added by
+whether it lies in the closed region.  A disk count then reports the
+outer moved radius as its contour_radius.
+
+Localization quadrisects a rectangle, recursing on subcounts.  A root
+region hugged by zeros is padded outward by delta, searched whole, and the
+zeros found outside the closed region are dropped.  A split line that
+children hug is moved off the located zeros.  Singleton boxes are polished
+by Newton iteration and unresolved multi-zero boxes at maximum depth are
+reported as clusters with their total multiplicity.
+
+The quadrature on one contour, the search for hugging zeros and the moved
+contours live in _contours; this module holds the public API and the
+quadrisection.
 """
 
 from __future__ import annotations
@@ -21,25 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourThroughZero, QuadratureDivergence, ValidationError
+from . import _contours
+from .errors import QuadratureDivergence, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration
 
 # Raw winding integrals must land this close to an integer.
 DEFAULT_RESIDUAL_TOL = 1e-3
-# Contour samples with |f| below this fraction of the median trigger a nudge.
-_CONTOUR_GUARD = 1e-12
-_MAX_NUDGES = 5
-# Hard budget of quadrature points per disk contour.
-_MAX_POINTS = 1 << 22
-# Disk contour nodes evaluated per call, so only |f| is held for a level.
-_CHUNK = 1 << 11
-# Doubling budget per rectangle contour (failures are retried with moved
-# edges, so a tight budget keeps bad splits cheap).
-_RECT_DOUBLINGS = 12
-# Consecutive stable-but-nonintegral refinements before declaring the
-# contour to run through a zero.
-_STALL_LIMIT = 3
 # Newton polishing limits.
 _NEWTON_MAX_ITER = 50
 _NEWTON_STEP_TOL = 1e-12
@@ -85,16 +96,32 @@ class Rectangle:
             and self.im_min - pad <= z.imag <= self.im_max + pad
         )
 
-    def expanded(self, factor: float) -> "Rectangle":
-        c = self.center
-        w = self.width * factor / 2
-        h = self.height * factor / 2
-        return Rectangle(c.real - w, c.real + w, c.imag - h, c.imag + h)
+    def padded(self, delta: float) -> "Rectangle | None":
+        """Every edge moved outward by delta (inward for delta < 0); None
+        when nothing is left."""
+        if 2 * delta <= -min(self.width, self.height):
+            return None
+        return Rectangle(
+            self.re_min - delta, self.re_max + delta, self.im_min - delta, self.im_max + delta
+        )
+
+    def signed_distance(self, z: complex) -> float:
+        """Distance from z to the boundary, negative inside."""
+        dx = max(self.re_min - z.real, z.real - self.re_max)
+        dy = max(self.im_min - z.imag, z.imag - self.im_max)
+        if dx <= 0 and dy <= 0:
+            return max(dx, dy)
+        return math.hypot(max(dx, 0.0), max(dy, 0.0))
 
 
 @dataclass(frozen=True)
 class ZeroCount:
-    """Argument-principle count of zeros inside one contour."""
+    """Argument-principle count of zeros in one closed disk.
+
+    quadrature_points counts every node evaluated for it (all contours);
+    contour_radius is the radius the count rests on: radius itself, or the
+    outer moved circle when zeros hug |z - center| = radius.
+    """
 
     radius: float
     count: int
@@ -113,85 +140,6 @@ class Resonance:
     is_cluster: bool = False
 
 
-def _is_stalled(history: list[complex]) -> bool:
-    if len(history) < _STALL_LIMIT + 1:
-        return False
-    recent = history[-(_STALL_LIMIT + 1):]
-    residuals = [abs(r - round(r.real)) for r in recent]
-    steps = [abs(a - b) for a, b in zip(recent, recent[1:])]
-    return all(0.15 <= r <= 0.85 for r in residuals) and all(s <= 0.02 for s in steps)
-
-
-def _settle(levels, residual_tol: float, where) -> tuple[int, float, int]:
-    """Refine a contour until its winding number settles.
-
-    levels yields (points, raw winding number) per refinement, raw None
-    once a sample of f vanished.  Returns (count, residual, points) as soon
-    as the rounded count repeats with a residual <= residual_tol.  Raises
-    ContourThroughZero for a vanishing sample or a residual stalled
-    off-integer, and QuadratureDivergence when the levels run out.
-    """
-    history: list[complex] = []
-    for points, raw in levels:
-        if raw is None:
-            raise ContourThroughZero(f"zero on the boundary of {where}", where=where)
-        history.append(raw)
-        if len(history) >= 2:
-            count = int(round(raw.real))
-            residual = abs(raw - count)
-            if count == int(round(history[-2].real)) and residual <= residual_tol:
-                return count, residual, points
-        if _is_stalled(history):
-            raise ContourThroughZero(f"winding stalled off-integer on {where}", where=where)
-    raise QuadratureDivergence(f"winding number did not stabilize on {where}", where=where)
-
-
-def _contour_values(fdf, z: np.ndarray):
-    """f and f' on the nodes z, as complex arrays."""
-    fv, dfv = fdf(z)
-    return np.asarray(fv, dtype=complex), np.asarray(dfv, dtype=complex)
-
-
-def _guard_trips(absf: np.ndarray) -> bool:
-    """True when some contour sample of f is negligible against the median."""
-    return bool(absf.min() < _CONTOUR_GUARD * np.median(absf))
-
-
-def _disk_levels(fdf, center: complex, r: float, n: int):
-    """Yield (n, raw winding number) for n, 2n, 4n, ... <= _MAX_POINTS nodes
-    on |z - center| = r.
-
-    The nodes 2 pi k / n of one level are bit-identical to the even nodes
-    2 pi (2k) / (2n) of the next, so each level evaluates only its odd
-    nodes, _CHUNK at a time, and adds them to a running integrand sum; only
-    |f| is kept for every node, for the median guard.  Yields None for the
-    raw value when a sample of f vanishes against the median or the sum is
-    not finite, and then stops.
-    """
-    total = 0.0 + 0.0j
-    absf = np.empty(0)
-    start, step = 0, 1
-    while n <= _MAX_POINTS:
-        parts = [absf]
-        for lo in range(start, n, step * _CHUNK):
-            k = np.arange(lo, min(n, lo + step * _CHUNK), step)
-            unit = np.exp(1j * (2 * np.pi * k / n))
-            fv, dfv = _contour_values(fdf, center + r * unit)
-            parts.append(np.abs(fv))
-            with np.errstate(all="ignore"):
-                total += complex(np.sum(dfv / fv * unit)) * r
-        absf = np.concatenate(parts)
-        if _guard_trips(absf):
-            yield n, None
-            return
-        raw = total / n
-        if not np.isfinite(raw):
-            yield n, None
-            return
-        yield n, raw
-        start, step, n = 1, 2, 2 * n
-
-
 def count_zeros_disk(
     fdf,
     radius: float,
@@ -199,90 +147,21 @@ def count_zeros_disk(
     freq_scale: float = 1.0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ZeroCount:
-    """Count zeros (with multiplicity) of f in the disk |z - center| < radius.
+    """Count zeros (with multiplicity) of f in the closed disk |z - center| <= radius.
 
     fdf(z) must return the pair (f(z), f'(z)) for a complex ndarray z.  The
     initial grid resolves oscillation at scale freq_scale * radius and is
     doubled (evaluating only the new nodes) until the rounded winding
-    number repeats and the residual drops below residual_tol.  A contour
-    running through a zero is nudged upward by parts in 1e-6 before giving
-    up, so zeros within the nudge scale of the boundary are attributed by
-    the nudged contour.
+    number repeats and the residual drops below residual_tol.  Zeros that
+    hug the circle are located and attributed by where they lie (see the
+    module docstring); contour_radius is then the outer moved radius.
     """
     if not (radius > 0):
         raise ValidationError(f"radius must be positive, got {radius}")
-    saw_zero_signal = False
-    for k in range(_MAX_NUDGES + 1):
-        r = radius * (1 + 1e-6 * k)
-        n0 = max(256, int(math.ceil(8 * r * freq_scale)))
-        levels = _disk_levels(fdf, center, r, n0)
-        try:
-            count, residual, n = _settle(levels, residual_tol, r)
-        except ContourThroughZero:
-            saw_zero_signal = True
-            continue
-        except QuadratureDivergence:
-            # budget exhaustion also falls through to the next nudge: a zero
-            # just inside the contour slows trapezoid convergence the same
-            # way a zero on it does
-            continue
-        return ZeroCount(radius, count, residual, n, r)
-    if saw_zero_signal:
-        raise ContourThroughZero(
-            f"contour |z - {center}| = {radius} passes through a zero "
-            f"(after {_MAX_NUDGES} nudges)",
-            where=radius,
-        )
-    raise QuadratureDivergence(
-        f"winding number did not stabilize on |z - {center}| = {radius} "
-        f"within {_MAX_POINTS} points per contour",
-        where=radius,
+    count, residual, points, contour = _contours.closed_count(
+        fdf, _contours.Circle(center, radius), freq_scale, residual_tol
     )
-
-
-def _rect_levels(fdf, rect: Rectangle, per_unit: float, min_points: int):
-    """Yield (nodes, raw winding number) on the boundary of rect, level by level.
-
-    Edge e starts with n_e = max(min_points, ceil(per_unit * length)) panels
-    and every level doubles each n_e exactly.  Edge nodes are
-    a + (b - a) * k / n_e for k < n_e (the end corner is the next edge's
-    first node), so each node is evaluated once and later levels evaluate
-    only the odd k of the doubled grid, all four edges in one call.  The
-    trapezoid sum per edge is h_e * (sum over its nodes - g(a) / 2 +
-    g(b) / 2).  Yields None for the raw value when a sample of f vanishes
-    against the median or the sum is not finite, and then stops.
-    """
-    corners = rect.corners
-    sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
-    counts = [max(min_points, int(math.ceil(per_unit * abs(s)))) for s in sides]
-    sums = [0j] * 4
-    corner_g = None
-    absf = np.empty(0)
-    start, step = 0, 1
-    while True:
-        ks = [np.arange(start, n, step) for n in counts]
-        z = np.concatenate([a + s * (k / n) for a, s, k, n in zip(corners, sides, ks, counts)])
-        fv, dfv = _contour_values(fdf, z)
-        absf = np.concatenate([absf, np.abs(fv)])
-        if _guard_trips(absf):
-            yield len(absf), None
-            return
-        with np.errstate(all="ignore"):
-            edges = np.split(dfv / fv, np.cumsum([len(k) for k in ks[:-1]]))
-        if corner_g is None:
-            corner_g = [complex(g[0]) for g in edges]
-        sums = [total + complex(g.sum()) for total, g in zip(sums, edges)]
-        ends = corner_g[1:] + corner_g[:1]
-        raw = sum(
-            side / n * (total + (g_b - g_a) / 2)
-            for side, n, total, g_a, g_b in zip(sides, counts, sums, corner_g, ends)
-        ) / (2j * np.pi)
-        if not np.isfinite(raw):
-            yield len(absf), None
-            return
-        yield len(absf), raw
-        start, step = 1, 2
-        counts = [2 * n for n in counts]
+    return ZeroCount(radius, count, residual, points, contour.radius)
 
 
 def count_zeros_rect(
@@ -291,13 +170,12 @@ def count_zeros_rect(
     freq_scale: float = 1.0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> int:
-    """Count zeros of f inside a rectangle; fdf(z) returns (f(z), f'(z)).
+    """Count zeros of f in the closed rectangle; fdf(z) returns (f(z), f'(z)).
 
-    Raises ContourThroughZero when a zero sits on (or hugs) the boundary;
-    callers own the geometry and retry with moved edges.
+    Zeros that hug the boundary are located and attributed by where they
+    lie (see the module docstring).
     """
-    levels = _rect_levels(fdf, rect, 8 * freq_scale, 64)
-    return _settle(itertools.islice(levels, _RECT_DOUBLINGS), residual_tol, rect)[0]
+    return _contours.closed_count(fdf, rect, freq_scale, residual_tol)[0]
 
 
 def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
@@ -306,6 +184,8 @@ def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
     z = complex(z0)
     for _ in range(max_iter):
         fz, dfz = fdf(z)
+        if fz == 0:
+            return z, True
         dfz = complex(dfz)
         if dfz == 0 or not np.isfinite(dfz):
             return z, False
@@ -344,15 +224,41 @@ def _newton_common_point(fdf, box: Rectangle):
     return None
 
 
-# Deterministic split-line shift sequence (fractions of the box size) used
-# when a zero lands on a proposed subdivision line.
-_SPLIT_SHIFTS = (0.0, 1e-3, -1e-3, 3.7e-3, -3.7e-3, 7.1e-3)
+def _split_line(lo: float, hi: float, coords, h: float, skip: int) -> float | None:
+    """A split coordinate at least h / 2 from every one of coords: the
+    skip-th such point of the grid (lo + hi) / 2 + j h / 2, j = 0, 1, -1, 2,
+    -2, ..., within the middle half of [lo, hi] (None past it)."""
+    mid = (lo + hi) / 2
+    for j in itertools.count():
+        offset = (j + 1) // 2 * (1 if j % 2 else -1) * h / 2
+        if abs(offset) > (hi - lo) / 4:
+            return None
+        x = mid + offset
+        if all(abs(x - c) >= h / 2 for c in coords):
+            if skip == 0:
+                return x
+            skip -= 1
 
 
 def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol: float):
-    for shift in _SPLIT_SHIFTS:
-        xm = (box.re_min + box.re_max) / 2 + shift * box.width
-        ym = (box.im_min + box.im_max) / 2 + shift * box.height
+    """Quadrisect box into four children whose counts add up to count.
+
+    The split lines start at the midlines and move off every zero located
+    near them (_split_line, with h the children's initial node spacing).
+    A child's node spacing is at most its parent's, so zeros hug a child
+    only near a split line; a hug that locates no zero there, a child that
+    does not settle, or counts that do not add up move the lines one grid
+    step further.
+    """
+    h = max(
+        side / _contours.edge_panels(side, freq_scale) for side in (box.width / 2, box.height / 2)
+    )
+    zeros, skip = [], 0
+    for _ in range(_contours.MAX_MOVES):
+        xm = _split_line(box.re_min, box.re_max, [w.real for w in zeros], h, skip)
+        ym = _split_line(box.im_min, box.im_max, [w.imag for w in zeros], h, skip)
+        if xm is None or ym is None:
+            break
         children = (
             Rectangle(box.re_min, xm, box.im_min, ym),
             Rectangle(xm, box.re_max, box.im_min, ym),
@@ -360,16 +266,22 @@ def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol:
             Rectangle(xm, box.re_max, ym, box.im_max),
         )
         try:
-            counts = [
-                count_zeros_rect(fdf, child, freq_scale, residual_tol)
-                for child in children
-            ]
-        except (ContourThroughZero, QuadratureDivergence):
+            counts = [_contours.winding(fdf, c, freq_scale, residual_tol)[0] for c in children]
+        except _contours.Hugged as hug:
+            zeros = _contours.merge(zeros, hug.zeros)
+            near = any(min(abs(w.real - xm), abs(w.imag - ym)) < h / 2 for w in hug.zeros)
+            skip += not near
+            continue
+        except QuadratureDivergence:
+            skip += 1
             continue
         if sum(counts) == count:
             return list(zip(children, counts))
+        skip += 1
     raise QuadratureDivergence(
-        f"could not split {box} consistently (count {count})", where=box
+        f"could not split {box} consistently (count {count}); "
+        f"zeros located near its split lines: {_contours.fmt(zeros)}",
+        where=box,
     )
 
 
@@ -380,27 +292,26 @@ def find_resonances(
     freq_scale: float = 1.0,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[Resonance]:
-    """Locate the zeros of f in a rectangle; fdf(z) returns (f(z), f'(z)).
+    """Locate the zeros of f in the closed rectangle region; fdf(z) returns
+    (f(z), f'(z)).
 
     Recursive quadrisection by argument-principle counts: single-zero boxes
     are polished by Newton iteration; boxes still holding several zeros at
     max_depth are reported with is_cluster=True (at the box center) unless
     Newton converges to one common point from the box corners, in which
-    case that point carries the whole multiplicity.  Total multiplicity
-    always equals the region count.
+    case that point carries the whole multiplicity.  When zeros hug the
+    boundary, the search runs on the region padded clear of them and keeps
+    what lies in the closed region.  Total multiplicity always equals the
+    closed-region count.
     """
-    root = count = None
-    for k in range(_MAX_NUDGES + 1):
-        candidate = region if k == 0 else region.expanded(1 + 1e-6 * k)
-        try:
-            count = count_zeros_rect(fdf, candidate, freq_scale, residual_tol)
-            root = candidate
-            break
-        except (ContourThroughZero, QuadratureDivergence):
-            continue
-    if root is None:
-        raise ContourThroughZero(
-            f"zeros on the boundary of {region} persist after nudging", where=region
+    try:
+        count = _contours.winding(fdf, region, freq_scale, residual_tol)[0]
+        root = region
+    except _contours.Hugged as hug:
+        if not hug.zeros:
+            raise _contours.no_zero_located(region) from None
+        _, (root,), (count,), *_ = _contours.moved_counts(
+            fdf, region, hug, (1,), freq_scale, residual_tol
         )
 
     out: list[Resonance] = []
@@ -424,6 +335,9 @@ def find_resonances(
             continue
         for child, cc in _split_box(fdf, box, c, freq_scale, residual_tol):
             stack.append((child, cc, depth + 1))
+    if root is not region:
+        pad = _contours.ON_BOUNDARY * _contours.size(region)
+        out = [r for r in out if region.signed_distance(r.location) <= pad]
     out.sort(key=lambda r: (r.location.real, r.location.imag))
     return out
 

@@ -69,6 +69,35 @@ def test_malformed_tolerances_exit_2(tmp_path, capsys, tolerances):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "strengths",
+    [[0, [0, "x"]], [True, 0], [0, [True, 0]], [10**400, 0]],
+    ids=["pair-string", "bool", "pair-bool", "huge-int"],
+)
+def test_malformed_strengths_exit_2(tmp_path, capsys, strengths):
+    path = write_config(tmp_path, strengths=strengths)
+    rc, _, err = run(capsys, "validate", "--config", path)
+    assert rc == 2
+    assert "strengths[" in err
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    path = write_config(tmp_path, counting={"r_min": 5.0, "r_max": 20.0, "steps": 4})
+    rc, out, _ = run(capsys, "classify", "--config", path, "--with-counts")
+    assert rc == 0
+    assert json.loads(out)["counts"] is not None
+    rc, out, _ = run(capsys, "classify", "--config", path)
+    assert rc == 0
+    assert json.loads(out)["counts"] is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify"])  # --config missing: argparse exits 2
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, _ = run(capsys, "validate", "--config", path)
+    assert rc == 0
+    assert json.loads(out)["valid"] is True
+
+
 def test_config_with_seed_loads(tmp_path, capsys):
     path = write_config(tmp_path, seed="abc")
     rc, out, _ = run(capsys, "validate", "--config", path)

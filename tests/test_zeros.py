@@ -2,17 +2,28 @@ import numpy as np
 import pytest
 
 from resonance_sizer import (
+    ContourThroughZero,
     Rectangle,
     ValidationError,
     count_zeros_disk,
     count_zeros_rect,
     counting_function,
+    determinant_direct,
     expand,
     find_resonances,
+    gamma_matrix,
     newton_polish,
     random_configuration,
     size_v,
+    validate_configuration,
     zero_frequency_polynomial,
+)
+from tests.conftest import (
+    EDGE_ZEROS,
+    MIRROR_PAIR_CENTERS,
+    MIRROR_PAIR_COUNT,
+    MIRROR_PAIR_RADIUS,
+    MIRROR_PAIR_STRENGTHS,
 )
 
 
@@ -78,7 +89,7 @@ def test_find_resonances_multiplicity_sums_to_region_count(unit_pair):
     region = Rectangle(0, 12, -4, 0)
     found = find_resonances(fdf, region, freq_scale=2.0)
     total = sum(r.multiplicity for r in found)
-    assert total == count_zeros_rect(fdf, region.expanded(1 + 1e-6), freq_scale=2.0)
+    assert total == count_zeros_rect(fdf, region, freq_scale=2.0)
 
 
 def test_pair_resonances_residuals(unit_pair):
@@ -171,24 +182,75 @@ def test_disk_evaluates_each_node_once(unit_pair):
     np.testing.assert_array_equal(np.sort_complex(spy.points), np.sort_complex(expected))
 
 
-def test_disk_nudge_evaluates_each_radius_once():
-    calls = []  # (radius, points) per call; a nudged contour needs ~4M points
+def test_disk_zero_on_contour_located_and_attributed():
+    contours = []  # (radius, points) per contour call; Newton passes scalars
+    evaluations = 0
 
     def fdf(z):
-        calls.append((round(abs(z.flat[0]), 9), z.size))
+        nonlocal evaluations
+        z = np.asarray(z, dtype=complex)
+        evaluations += z.size
+        if z.ndim:
+            contours.append((round(abs(z.flat[0]), 9), z.size))
         return z - 1.0, np.ones_like(z)
 
     zc = count_zeros_disk(fdf, 1.0)
+    assert zc.count == 1  # the zero on the circle belongs to the closed disk
     assert zc.contour_radius > 1.0
     per_radius = {}
-    for r, size in calls:
+    for r, size in contours:
         per_radius[r] = per_radius.get(r, 0) + size
     # the circle through the zero trips the guard on its first level
     assert per_radius[1.0] == 256
-    assert per_radius[round(zc.contour_radius, 9)] == zc.quadrature_points
-    # each circle evaluates exactly the nodes of the last level it reached
-    for total in per_radius.values():
-        assert total % 256 == 0 and (total // 256).bit_count() == 1
+    assert zc.quadrature_points == sum(per_radius.values())
+    assert evaluations <= 10_000  # the 1e-6 nudges it replaces took 8.4M
+
+
+def test_double_zero_on_contour_counts_twice():
+    # both moved circles straddle one located zero of multiplicity 2, so
+    # a small disk around it supplies the multiplicity
+    zc = count_zeros_disk(lambda z: ((z - 1.0) ** 2, 2 * (z - 1.0)), 1.0)
+    assert zc.count == 2
+    assert zc.contour_radius > 1.0
+    assert count_zeros_rect(lambda z: ((z - 1.0) ** 2, 2 * (z - 1.0)), Rectangle(1, 2, -1, 1)) == 2
+
+
+def test_overflow_on_contour_names_the_circle():
+    def fdf(z):
+        with np.errstate(all="ignore"):
+            e = np.exp(1000 * np.asarray(z, dtype=complex))
+            return e, 1000 * e
+
+    # f overflows on part of the circle and has no zero for Newton to find
+    with pytest.raises(ContourThroughZero, match=r"overflowed on \|z - 0.0\| = 1.0 and"):
+        count_zeros_disk(fdf, 1.0)
+
+
+def test_disk_mirror_pair_hugging_circle():
+    cfg = validate_configuration(MIRROR_PAIR_CENTERS)
+    epoly, _ = expand(np.array(MIRROR_PAIR_STRENGTHS), cfg)
+    spy = Spy(epoly.value_and_derivative)
+    zc = count_zeros_disk(spy, MIRROR_PAIR_RADIUS, freq_scale=epoly.effective_size)
+    assert zc.count == MIRROR_PAIR_COUNT
+    assert zc.contour_radius > MIRROR_PAIR_RADIUS
+    assert len(spy.points) <= 200_000  # the 1e-6 nudges it replaces took 9.8M
+
+
+@pytest.mark.parametrize("centers, strengths, edge_imag", EDGE_ZEROS, ids=["apart", "cancelling"])
+def test_two_zeros_on_region_edge(centers, strengths, edge_imag):
+    cfg = validate_configuration(centers)
+    a = np.array(strengths)
+    epoly, _ = expand(a, cfg)
+    found = find_resonances(
+        epoly.value_and_derivative, Rectangle(0, 6, -3, 0), freq_scale=epoly.effective_size
+    )
+    axis = sorted(r.location.imag for r in found if abs(r.location.real) <= 1e-9)
+    assert axis == pytest.approx(sorted(edge_imag), abs=1e-9)
+    for res in found:
+        z = res.location
+        assert Rectangle(0, 6, -3, 0).contains(z, pad=1e-9)
+        bound = (4 * np.pi) ** cfg.n * np.prod(np.linalg.norm(gamma_matrix(a, cfg, z), axis=1))
+        assert abs(determinant_direct(a, cfg, z)) <= 1e-8 * bound
 
 
 def test_rect_evaluates_each_edge_node_once():
@@ -236,3 +298,56 @@ def test_counting_function_unchanged(unit_pair):
     assert [(zc.count, zc.contour_radius) for zc in counts] == [
         (1, 1.0), (5, 5.0), (7, 10.0), (13, 20.0), (27, 40.0)
     ]
+
+
+# seed -> zeros found on [0, 6] x [-3, 0] for the N = 4 configuration drawn
+# from default_rng([seed, 4]) (complex strengths for even seeds, real for
+# odd ones), as computed before zeros hugging a contour were located.  Seeds
+# with a zero within 0.05 of the region's boundary are left out.
+PLAIN_GOLDEN = [
+    (0, [2.379387528643915-2.92093436933197j, 5.352499878304488-2.3673834865768173j]),
+    (1, [1.7570622185879436-1.4100790387972375j, 3.7460189743444983-2.3822083081621317j]),
+    (2, []),
+    (3, [1.795860795975307-2.284008207284038j]),
+    (4, [2.875644558497751-2.8279760902492863j]),
+    (5, [
+        1.3426287948447009-0.901191554722405j,
+        2.2798566040065196-0.8239455488349583j,
+        3.1955063568108564-2.1422960950270555j,
+        5.099834600201695-2.2060536400769353j,
+        5.806384566965477-1.9123296667849818j,
+    ]),
+    (6, [0.28094118131142337-2.3745549916679685j, 3.627850335412403-2.171884338668691j]),
+    (7, [3.3563665948632-0.8275668027163195j]),
+    (11, [1.4463914957396116-1.5357179455684316j, 4.269445378823284-2.4960814217510294j]),
+    (12, [2.2713298003377256-2.571157047976941j, 5.092608016471468-2.1210828953053777j]),
+    (15, [0.34896201584053266-2.1949442451681693j, 4.953589153176085-2.4701990967864207j]),
+    (16, [3.1080326624237347-1.4843651682384027j, 5.732718631348124-2.661488778481816j]),
+    (18, [0.644307411111929-0.7461001509639328j, 4.657400835658942-2.793887286670657j]),
+    (19, [
+        1.4593952112435251-0.33136577429265923j,
+        2.334851051047849-0.9634094995239606j,
+        5.916066450013314-1.0533017530242492j,
+    ]),
+    (20, []),
+    (21, [2.3116402465731287-1.6617908025184254j, 4.459625828985531-2.044200053540997j]),
+    (24, [1.3838830177957346-1.6226082140855826j, 5.657819961045022-1.1349233017617029j]),
+    (26, [2.182766496900817-2.0097404109924093j, 5.170201075474355-2.0863093779416957j]),
+    (27, [0.9530398487167245-1.328959815504778j, 5.029063342599312-2.3300158774849646j]),
+    (28, [1.8776143092564619-1.2119381234198057j, 5.120539276404285-1.7062992292162853j]),
+]
+
+
+@pytest.mark.parametrize("seed, zeros", PLAIN_GOLDEN)
+def test_find_resonances_unchanged(seed, zeros):
+    rng = np.random.default_rng([seed, 4])
+    cfg = random_configuration(4, rng)
+    a = rng.normal(size=4)
+    if seed % 2 == 0:
+        a = a + 1j * rng.normal(size=4)
+    epoly, _ = expand(a, cfg)
+    found = find_resonances(
+        epoly.value_and_derivative, Rectangle(0, 6, -3, 0), freq_scale=epoly.effective_size
+    )
+    assert [(r.multiplicity, r.is_cluster) for r in found] == [(1, False)] * len(zeros)
+    np.testing.assert_allclose([r.location for r in found], zeros, rtol=0, atol=1e-10)
