@@ -2,9 +2,10 @@
 
 The determinant expansion and the class enumeration each need one pass over
 all N! permutations in lexicographic order.  Permutations are materialized
-in blocks and reduced with numpy; the permutation sign is recovered from the
-lexicographic rank through its factorial-base digits (whose sum is the
-inversion count).
+in blocks and reduced with numpy.  Each block comes with the inversion-count
+parity of its rows: the cached parity of the tail table, flipped by the
+block prefix's own inversions (relabelling the tail in increasing order
+keeps its inversions).
 """
 
 from __future__ import annotations
@@ -23,58 +24,53 @@ _BLOCK = math.factorial(7)
 
 
 @lru_cache(maxsize=None)
-def _lex_table(m: int) -> np.ndarray:
-    """S_m in lexicographic order, as a read-only (m!, m) array.
+def _lex_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_m in lexicographic order, as a read-only (m!, m) array, and the
+    read-only inversion-count parity (0 even, 1 odd) of each row.
 
     Rows starting with f are f followed by S_{m-1}'s rows mapped onto the
-    other symbols in increasing order, which is lexicographic again.
+    other symbols in increasing order, which is lexicographic again; the
+    leading f adds f inversions to those of the mapped row.
     """
     table = np.zeros((1, 0), dtype=np.int64)
+    parity = np.zeros(1, dtype=np.int8)
     for size in range(1, m + 1):
         others = np.array([[j for j in range(size) if j != f] for f in range(size)])
         grown = np.empty((size, len(table), size), dtype=np.int64)
         grown[:, :, 0] = np.arange(size)[:, None]
         grown[:, :, 1:] = others[:, table]
         table = grown.reshape(-1, size)
+        parity = ((np.arange(size, dtype=np.int8)[:, None] + parity) & 1).reshape(-1)
     table.setflags(write=False)
-    return table
+    parity.setflags(write=False)
+    return table, parity
 
 
-def perm_blocks(n: int, block_size: int = _BLOCK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_rank, block) over S_n in lexicographic order.
+def perm_blocks(n: int, block_size: int = _BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (parity, block) over S_n in lexicographic order.
 
     With m the largest tail length such that m! <= block_size, each block
     is one fixed prefix of n - m symbols followed by the cached S_m table
     mapped onto the remaining symbols.  For m = n the single block is the
-    cached read-only table itself.
+    cached read-only table itself.  `parity` holds the inversion-count
+    parity (0 even, 1 odd) of each row.
     """
     tail = n
     while math.factorial(tail) > block_size:
         tail -= 1
-    table = _lex_table(tail)
+    table, table_parity = _lex_table(tail)
     if tail == n:
-        yield 0, table
+        yield table_parity, table
         return
     k = n - tail
-    start = 0
     for prefix in itertools.permutations(range(n), k):
         rest = np.array(sorted(set(range(n)).difference(prefix)))
         block = np.empty((len(table), n), dtype=np.int64)
         block[:, :k] = prefix
         np.take(rest, table, out=block[:, k:], mode="clip")
-        yield start, block
-        start += len(block)
-
-
-def rank_parity(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Inversion-count parity of lexicographic ranks (0 even, 1 odd)."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    total = np.zeros_like(ranks)
-    f = math.factorial(n - 1)
-    for i in range(n - 1):
-        total += (ranks // f) % (n - i)
-        f //= n - 1 - i
-    return total & 1
+        # inversions of the prefix with everything after it
+        inversions = sum(p - sum(q < p for q in prefix[:i]) for i, p in enumerate(prefix))
+        yield table_parity ^ np.int8(inversions & 1), block
 
 
 def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,12 +84,11 @@ def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ar = np.arange(n)
     bits = 1 << ar
     v_parts, w_parts, m_parts = [], [], []
-    for start, perms in perm_blocks(n):
+    for parity, perms in perm_blocks(n):
         bond = d[ar, perms]
         fixed = perms == ar
         v_parts.append(bond.sum(axis=1))
         k1 = 1.0 / np.where(fixed, 1.0, bond).prod(axis=1)
-        parity = rank_parity(np.arange(start, start + len(perms)), n)
         w_parts.append(np.where(parity, -k1, k1))
         m_parts.append((fixed * bits).sum(axis=1))
     return (

@@ -26,6 +26,11 @@ from .geometry import Configuration, distance_matrix, validate_configuration
 from .sizing import DEFAULT_GAP_TOL, is_generic
 from .zeros import Rectangle, counting_function, find_resonances
 
+# Radii in a counting grid.  Every radius is a full winding count (about a
+# millisecond at best), so a larger grid is a typo, and np.linspace would
+# try to allocate it before the first count.
+_MAX_STEPS = 10**6
+
 _DEFAULT_TOLERANCES = {
     "freq_tol": DEFAULT_FREQ_TOL,
     "cancel_tol": DEFAULT_CANCEL_TOL,
@@ -48,6 +53,22 @@ class RunConfig:
 def _is_number(value) -> bool:
     """A JSON number: bool is an int subclass but no number here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number in the float range: NaN, infinities and integers too
+    large for a float fail (the comparison is exact for any int)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _finite_fields(obj, keys: tuple[str, ...], what: str) -> list[float]:
+    """The named fields of a JSON object, each a finite number, as floats."""
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise ValidationError(f"{what} must be an object with keys {', '.join(keys)}")
+    bad = [k for k in keys if not _is_finite_number(obj[k])]
+    if bad:
+        raise ValidationError(f"{what} values must be finite numbers, got {bad[0]}={obj[bad[0]]!r}")
+    return [float(obj[k]) for k in keys]
 
 
 def _parse_strength(entry, index: int) -> complex:
@@ -75,7 +96,16 @@ def load_run_config(path: str) -> RunConfig:
         raise ValidationError("config must be a JSON object")
     if "centers" not in raw:
         raise ValidationError("config is missing 'centers'")
-    config = validate_configuration(raw["centers"])
+    centers = raw["centers"]
+    if not (
+        isinstance(centers, list)
+        and all(
+            isinstance(p, list) and len(p) == 3 and all(map(_is_finite_number, p))
+            for p in centers
+        )
+    ):
+        raise ValidationError("centers must be a list of [x, y, z] triples of finite numbers")
+    config = validate_configuration(centers)
     if "strengths" not in raw:
         raise ValidationError("config is missing 'strengths'")
     strengths_raw = raw["strengths"]
@@ -94,36 +124,26 @@ def load_run_config(path: str) -> RunConfig:
     if unknown:
         raise ValidationError(f"unknown tolerance keys: {sorted(unknown)}")
     for key, value in given.items():
-        # NaN fails the range test
-        if not (_is_number(value) and 0 < value <= sys.float_info.max):
+        if not (_is_finite_number(value) and value > 0):
             raise ValidationError(f"tolerance {key} must be a finite number > 0, got {value!r}")
     tolerances = {**_DEFAULT_TOLERANCES, **{k: float(v) for k, v in given.items()}}
 
     radii = None
     if "counting" in raw:
-        grid = raw["counting"]
-        try:
-            r_min = float(grid["r_min"])
-            r_max = float(grid["r_max"])
-            steps = int(grid["steps"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad counting grid: {exc}") from exc
-        if steps < 1 or r_min <= 0 or (steps > 1 and r_max <= r_min):
-            raise ValidationError("counting grid needs r_max > r_min > 0, steps >= 1")
+        r_min, r_max, steps = _finite_fields(
+            raw["counting"], ("r_min", "r_max", "steps"), "counting grid"
+        )
+        steps = int(steps)
+        if not 1 <= steps <= _MAX_STEPS or r_min <= 0 or (steps > 1 and r_max <= r_min):
+            raise ValidationError(
+                f"counting grid needs r_max > r_min > 0, 1 <= steps <= {_MAX_STEPS}"
+            )
         radii = [float(r) for r in np.linspace(r_min, r_max, steps)]
 
     region = None
     if "region" in raw:
-        reg = raw["region"]
-        try:
-            region = Rectangle(
-                float(reg["re_min"]),
-                float(reg["re_max"]),
-                float(reg["im_min"]),
-                float(reg["im_max"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad region: {exc}") from exc
+        bounds = _finite_fields(raw["region"], ("re_min", "re_max", "im_min", "im_max"), "region")
+        region = Rectangle(*bounds)
 
     return RunConfig(
         config=config,
@@ -163,19 +183,19 @@ def cmd_expand(args) -> int:
         with open(out_dir / "frequencies.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["term_index", "frequency"])
-            for i, (b, _) in enumerate(epoly.terms):
+            for i, b in enumerate(epoly.frequencies.tolist()):
                 writer.writerow([i, repr(b)])
         with open(out_dir / "coefficients.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["term_index", "power", "re", "im"])
-            for i, (_, coeffs) in enumerate(epoly.terms):
-                for p, c in enumerate(coeffs):
-                    writer.writerow([i, p, repr(float(c.real)), repr(float(c.imag))])
+            for i, term in enumerate(epoly.to_jsonable()):
+                for p, (re, im) in enumerate(term["coefficients"]):
+                    writer.writerow([i, p, repr(re), repr(im)])
         return 0
     _emit_json(
         {
             "n": rc.config.n,
-            "frequencies": [b for b, _ in epoly.terms],
+            "frequencies": epoly.frequencies.tolist(),
             "effective_size": epoly.effective_size,
             "terms": epoly.to_jsonable(),
             "cancellation": {

@@ -78,40 +78,35 @@ class _GroupColumns(Sequence):
 class CancellationReport:
     """Which term frequencies survived the summation, and how narrowly."""
 
-    groups: Sequence[CancellationGroup]
+    groups: _GroupColumns
     cancelled_frequencies: tuple[float, ...]
     freq_tol: float
     cancel_tol: float
 
     def near_cancellations(self, factor: float = 10.0) -> tuple[CancellationGroup, ...]:
         """Groups whose residual is within factor * cancel_tol of vanishing."""
-        thr = factor * self.cancel_tol
-        return tuple(g for g in self.groups if g.post_scale <= thr * g.pre_scale)
+        _, pre_scale, post_scale, _ = self.groups._columns
+        near = np.flatnonzero(post_scale <= factor * self.cancel_tol * pre_scale)
+        return tuple(map(self.groups.__getitem__, near.tolist()))
 
 
 class ExpoPolynomial:
     """Canonical exponential polynomial sum_j P_{b_j}(z) e^{i b_j z}.
 
-    Frequencies are strictly increasing nonnegative reals; every stored
-    polynomial is nonzero.  Construction merges exactly-equal frequencies
-    and trims trailing zero coefficients.
+    Held as two read-only arrays: the strictly increasing nonnegative
+    frequencies and the zero-padded coefficient matrix (row j holds P_{b_j}
+    in ascending powers, every row nonzero, trimmed to the widest row).
+    Construction from a frequency sequence and matching coefficient rows
+    (a matrix, or a list of sequences of any lengths) sorts stably, merges
+    exactly-equal frequencies, drops zero rows and trims trailing zero
+    columns.  With no arguments it is the zero form, with no terms.
     """
 
-    __slots__ = ("terms", "_table")
+    __slots__ = ("_freqs", "_coeffs", "_terms", "_table")
 
-    def __init__(self, terms):
-        self._table = None
-        freqs, rows = [], []
-        for b, c in terms:
-            freqs.append(b)
-            rows.append(c)
-        if not rows:
-            self.terms = ()
-            return
-        freqs = np.array(freqs, dtype=float)
-        coeffs = _stack(rows)
-        del rows
-
+    def __init__(self, frequencies=(), coefficients=()):
+        freqs = np.asarray(frequencies, dtype=float).reshape(-1)
+        coeffs = _coefficient_matrix(coefficients, len(freqs))
         if np.any(freqs[1:] < freqs[:-1]):
             order = np.argsort(freqs, kind="stable")
             freqs, coeffs = freqs[order], coeffs[order]
@@ -119,34 +114,52 @@ class ExpoPolynomial:
         if len(starts) < len(freqs):
             coeffs = np.add.reduceat(coeffs, starts)
             freqs = freqs[starts]
-
-        # 1 + index of the last nonzero coefficient; 0 for a zero polynomial
-        lengths = np.max((coeffs != 0) * np.arange(1, coeffs.shape[1] + 1), axis=1, initial=0)
+        lengths = _row_lengths(coeffs)
+        keep = lengths > 0
+        # fancy indexing copies, so the stored arrays are never the caller's
+        freqs = freqs[keep]
+        coeffs = coeffs[keep, : lengths.max(initial=0)]
+        freqs.setflags(write=False)
         coeffs.setflags(write=False)
-        self.terms = tuple(
-            (b, c[:k]) for b, c, k in zip(freqs.tolist(), coeffs, lengths.tolist()) if k
-        )
+        self._freqs, self._coeffs = freqs, coeffs
+        self._terms = None
+        self._table = None
+
+    @property
+    def terms(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(frequency, coefficients) pairs, each coefficient row a read-only
+        view trimmed of trailing zeros.  Built on first read and cached."""
+        if self._terms is None:
+            self._terms = tuple(
+                (b, c[:k])
+                for b, c, k in zip(
+                    self._freqs.tolist(), self._coeffs, _row_lengths(self._coeffs).tolist()
+                )
+            )
+        return self._terms
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([b for b, _ in self.terms])
+        """The frequencies b_0 < ... < b_nu (read-only)."""
+        return self._freqs
 
     @property
     def nu(self) -> int:
-        return len(self.terms) - 1
+        return len(self._freqs) - 1
 
     @property
     def effective_size(self) -> float:
         """The largest surviving frequency."""
-        if not self.terms:
+        if not len(self._freqs):
             raise ValidationError("empty exponential polynomial has no top frequency")
-        return self.terms[-1][0]
+        return float(self._freqs[-1])
 
     def coefficients(self, frequency: float) -> np.ndarray:
-        for b, c in self.terms:
-            if b == frequency:
-                return c
-        raise KeyError(frequency)
+        i = int(np.searchsorted(self._freqs, frequency))
+        if i == len(self._freqs) or self._freqs[i] != frequency:
+            raise KeyError(frequency)
+        row = self._coeffs[i]
+        return row[: _row_lengths(row[None])[0]]
 
     def evaluate(self, z):
         """Evaluate at a complex point or array."""
@@ -167,7 +180,7 @@ class ExpoPolynomial:
         zz = np.asarray(z, dtype=complex)
         flat = zz.reshape(-1)
         out = np.zeros((flat.size, 2), dtype=complex)
-        if self.terms:
+        if len(self._freqs):
             ifreqs, table = self._fdf_table()
             rows = max(1, _KERNEL_BLOCK // len(ifreqs))
             exps = np.empty((min(rows, flat.size), len(ifreqs)), dtype=complex)
@@ -191,8 +204,7 @@ class ExpoPolynomial:
         column 2p holds the z^p coefficients of P, column 2p + 1 those of
         P' + i b P.  Built on first use and cached."""
         if self._table is None:
-            freqs = self.frequencies
-            coeffs = _stack([c for _, c in self.terms])
+            freqs, coeffs = self._freqs, self._coeffs
             deriv = 1j * freqs[:, None] * coeffs
             deriv[:, :-1] += np.arange(1, coeffs.shape[1]) * coeffs[:, 1:]
             table = np.stack([coeffs, deriv], axis=-1).reshape(len(freqs), -1)
@@ -204,36 +216,52 @@ class ExpoPolynomial:
 
     def derivative(self) -> "ExpoPolynomial":
         """Termwise derivative (P' + i b P) e^{i b z}."""
-        if not self.terms:
-            return ExpoPolynomial([])
+        if not len(self._freqs):
+            return self
         _, table = self._fdf_table()
-        return ExpoPolynomial(zip([b for b, _ in self.terms], table[:, 1::2]))
+        return ExpoPolynomial(self._freqs, table[:, 1::2])
 
     def to_jsonable(self) -> list[dict]:
+        pairs = np.stack([self._coeffs.real, self._coeffs.imag], axis=-1).tolist()
         return [
-            {
-                "frequency": b,
-                "coefficients": [[float(c.real), float(c.imag)] for c in coeffs],
-            }
-            for b, coeffs in self.terms
+            {"frequency": b, "coefficients": row[:k]}
+            for b, row, k in zip(
+                self._freqs.tolist(), pairs, _row_lengths(self._coeffs).tolist()
+            )
         ]
 
     def __repr__(self) -> str:
-        freqs = ", ".join(f"{b:.6g}" for b, _ in self.terms)
+        freqs = ", ".join(f"{b:.6g}" for b in self._freqs.tolist())
         return f"ExpoPolynomial(frequencies=[{freqs}])"
 
 
-def _stack(rows: list) -> np.ndarray:
-    """Coefficient sequences as the rows of a zero-padded complex matrix."""
+def _coefficient_matrix(rows, n_rows: int) -> np.ndarray:
+    """Coefficient rows (a matrix, or sequences of any lengths, scalars
+    counting as length 1) as an (n_rows, width) zero-padded complex matrix."""
     try:
-        return np.array(rows, dtype=complex).reshape(len(rows), -1)
+        out = np.asarray(rows, dtype=complex)
     except ValueError:  # unequal lengths
-        pass
-    rows = [np.atleast_1d(np.asarray(r, dtype=complex)) for r in rows]
-    lengths = np.array([len(r) for r in rows])
-    out = np.zeros((len(rows), lengths.max()), dtype=complex)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+        rows = [np.atleast_1d(np.asarray(r, dtype=complex)) for r in rows]
+        lengths = np.array([len(r) for r in rows])
+        out = np.zeros((len(rows), lengths.max()), dtype=complex)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    if out.ndim == 1:  # one scalar per row
+        out = out[:, None]
+    if out.ndim != 2 or len(out) != n_rows:
+        raise ValidationError(
+            f"need one coefficient row per frequency: {n_rows} frequencies, "
+            f"coefficients of shape {out.shape}"
+        )
     return out
+
+
+def _row_lengths(coeffs: np.ndarray) -> np.ndarray:
+    """1 + index of the last nonzero entry of each row; 0 for a zero row."""
+    nonzero = coeffs != 0
+    width = coeffs.shape[1]
+    if width == 0:
+        return np.zeros(len(coeffs), dtype=np.intp)
+    return np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
 
 
 def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
@@ -245,7 +273,7 @@ def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
     coeffs = np.array([1.0], dtype=complex)
     for aj in a:
         coeffs = npoly.polymul(coeffs, np.array([-4 * np.pi * aj, 1j]))
-    return ExpoPolynomial([(0.0, coeffs)])
+    return ExpoPolynomial([0.0], [coeffs])
 
 
 def _mask_polynomials(minus_4pi_a: np.ndarray) -> np.ndarray:
@@ -330,6 +358,9 @@ def expand(
         products = weight_sums * table[key_mask, p]
         coeffs.real[:, p] = np.bincount(key_group, products.real, minlength=len(starts))
         coeffs.imag[:, p] = np.bincount(key_group, products.imag, minlength=len(starts))
+    # released before the constructor copies coeffs (at N = 10 these hold
+    # about 170 MB, the copy about 250 MB)
+    del keys, weight_sums, key_group, key_mask, products
     post_scale = np.abs(coeffs).max(axis=1)
 
     cancelled = (freqs > 0.0) & (post_scale <= cancel_tol * pre_scale)
@@ -341,4 +372,4 @@ def expand(
     )
     # the constructor drops zero polynomials, so this prunes cancelled groups
     coeffs[cancelled] = 0.0
-    return ExpoPolynomial(zip(freqs.tolist(), coeffs)), report
+    return ExpoPolynomial(freqs, coeffs), report

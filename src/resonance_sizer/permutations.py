@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,16 +70,25 @@ class Permutation:
         return "".join("[" + " ".join(str(j + 1) for j in c) + "]" for c in cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassRepresentatives:
-    """One representative per edge-equivalence class of S_N."""
+    """One representative per edge-equivalence class of S_N.
 
-    representatives: tuple[Permutation, ...]
+    `images` is a read-only (classes, N) int8 array, row k holding the
+    0-based images of the k-th representative; the Permutation objects are
+    built on first read of `representatives`.
+    """
+
+    images: np.ndarray
     class_sizes: tuple[int, ...]
+
+    @cached_property
+    def representatives(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation, self.images.tolist()))
 
     @property
     def n_classes(self) -> int:
-        return len(self.representatives)
+        return len(self.images)
 
 
 def cycle_decompose(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
@@ -188,7 +197,8 @@ def enumerate_classes(n: int) -> ClassRepresentatives:
     # smallest class member
     _, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
     order = np.lexsort(perms[first].T[::-1])
-    reps = tuple(Permutation(tuple(int(x) for x in perms[i])) for i in first[order])
-    sizes = tuple(int(c) for c in counts[order])
+    images = perms[first[order]]
+    images.setflags(write=False)
+    sizes = tuple(counts[order].tolist())
     assert sum(sizes) == math.factorial(n)
-    return ClassRepresentatives(reps, sizes)
+    return ClassRepresentatives(images, sizes)

@@ -72,8 +72,7 @@ def representative_values(config: Configuration) -> tuple[ClassRepresentatives, 
     config = validate_configuration(config)
     reps = enumerate_classes(config.n)
     d = distance_matrix(config)
-    images = np.asarray([r.image for r in reps.representatives])
-    values = d[np.arange(config.n), images].sum(axis=1)
+    values = d[np.arange(config.n), reps.images].sum(axis=1)
     return reps, values
 
 
@@ -90,8 +89,8 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     gaps = np.diff(values[order])
     i = int(np.argmin(gaps))
     witness = (
-        reps.representatives[int(order[i])],
-        reps.representatives[int(order[i + 1])],
+        Permutation(reps.images[order[i]].tolist()),
+        Permutation(reps.images[order[i + 1]].tolist()),
     )
     min_gap = float(gaps[i])
     return GenericityReport(min_gap > tol, min_gap, witness, tol)

@@ -182,4 +182,29 @@ def derivative_reference(epoly):
         if len(coeffs) > 1:
             dc[:-1] += np.arange(1, len(coeffs)) * coeffs[1:]
         out.append((b, dc))
-    return ExpoPolynomial(out)
+    return ExpoPolynomial([b for b, _ in out], [dc for _, dc in out])
+
+
+def canonical_terms_reference(frequencies, rows):
+    """The canonical (frequency, coefficients) pairs, one input pair at a time.
+
+    Pairs are taken in stable frequency order; rows of equal frequency are
+    summed left to right, then trailing zeros are trimmed and zero
+    polynomials dropped.
+    """
+    merged: dict[float, np.ndarray] = {}
+    for b, row in sorted(zip(frequencies, rows), key=lambda pair: pair[0]):
+        row = np.atleast_1d(np.asarray(row, dtype=complex))
+        if b in merged:
+            prev = merged[b]
+            total = np.zeros(max(len(prev), len(row)), dtype=complex)
+            total[: len(prev)] += prev
+            total[: len(row)] += row
+            row = total
+        merged[b] = row
+    out = []
+    for b, row in merged.items():
+        nonzero = np.flatnonzero(row)
+        if len(nonzero):
+            out.append((float(b), row[: nonzero[-1] + 1]))
+    return out

@@ -81,6 +81,53 @@ def test_malformed_strengths_exit_2(tmp_path, capsys, strengths):
     assert "strengths[" in err
 
 
+GRID = {"r_min": 5.0, "r_max": 20.0, "steps": 4}
+REGION = {"re_min": 0.0, "re_max": 8.0, "im_min": -3.0, "im_max": 0.0}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"centers": [[0, 0, 10**400], [1, 0, 0]]},
+        {"centers": [[0, 0, "x"], [1, 0, 0]]},
+        {"centers": [[0, 0, 0], [1, 0]]},
+        {"centers": [[0, 0, True], [1, 0, 0]]},
+        {"counting": {**GRID, "r_min": 10**400}},
+        {"counting": {**GRID, "r_max": 10**400}},
+        {"counting": {**GRID, "r_min": float("nan")}},
+        {"counting": {**GRID, "r_min": float("inf"), "steps": 1}},
+        {"counting": {**GRID, "steps": 10**400}},
+        {"counting": {**GRID, "steps": "1e400"}},
+        {"counting": {**GRID, "steps": 10**7}},
+        {"region": {**REGION, "im_min": -(10**400)}},
+    ],
+    ids=[
+        "centers-huge-int",
+        "centers-string",
+        "centers-ragged",
+        "centers-bool",
+        "r_min-huge-int",
+        "r_max-huge-int",
+        "r_min-nan",
+        "r_min-infinity",
+        "steps-huge-int",
+        "steps-1e400",
+        "steps-too-many",
+        "region-huge-int",
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "count", "resonances"])
+def test_malformed_numbers_exit_2(tmp_path, capsys, overrides, command):
+    data = {"counting": GRID, "region": REGION, **overrides}
+    path = write_config(tmp_path, **data)
+    # a JSON 1e400 literal, which json.loads reads as infinity
+    text = open(path).read().replace('"1e400"', "1e400")
+    open(path, "w").write(text)
+    rc, _, err = run(capsys, command, "--config", path)
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     path = write_config(tmp_path, counting={"r_min": 5.0, "r_max": 20.0, "steps": 4})
     rc, out, _ = run(capsys, "classify", "--config", path, "--with-counts")

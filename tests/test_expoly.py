@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from resonance_sizer import (
 from tests.conftest import DISPHENOID_CENTERS
 from resonance_sizer.expoly import _KERNEL_BLOCK
 from tests.expoly_reference import (
+    canonical_terms_reference,
     derivative_reference,
     evaluate_reference,
     expand_reference,
@@ -184,6 +187,14 @@ class TestExpand:
         with pytest.raises(IndexError):
             report.groups[3]
 
+    @pytest.mark.parametrize("factor", [1.0, 10.0, 1e6])
+    def test_near_cancellations_filter_every_group(self, factor):
+        cfg = validate_configuration(_double_disphenoid())
+        _, report = expand(np.zeros(8), cfg)
+        thr = factor * report.cancel_tol
+        expected = tuple(g for g in report.groups if g.post_scale <= thr * g.pre_scale)
+        assert expected and report.near_cancellations(factor) == expected
+
     def test_strength_length_mismatch(self):
         from resonance_sizer import SizeMismatch
 
@@ -243,21 +254,21 @@ class TestExpandMatchesReference:
 
 class TestExpoPolynomial:
     def test_merges_equal_frequencies_and_trims(self):
-        epoly = ExpoPolynomial([(1.0, [1, 2, 0]), (1.0, [-1, 0, 0]), (0.0, [3])])
+        epoly = ExpoPolynomial([1.0, 1.0, 0.0], [[1, 2, 0], [-1, 0, 0], [3]])
         assert [b for b, _ in epoly.terms] == [0.0, 1.0]
         np.testing.assert_array_equal(epoly.coefficients(1.0), [0, 2])
 
     def test_equal_length_and_scalar_inputs(self):
-        epoly = ExpoPolynomial([(1.0, [1, 2]), (0.0, [3, 0]), (1.0, [-1, 0])])
+        epoly = ExpoPolynomial([1.0, 0.0, 1.0], [[1, 2], [3, 0], [-1, 0]])
         assert [b for b, _ in epoly.terms] == [0.0, 1.0]
         np.testing.assert_array_equal(epoly.coefficients(0.0), [3])
         np.testing.assert_array_equal(epoly.coefficients(1.0), [0, 2])
         assert not epoly.coefficients(1.0).flags.writeable
-        scalar = ExpoPolynomial([(2.0, 1.5), (0.0, [1, 1j])])
+        scalar = ExpoPolynomial([2.0, 0.0], [1.5, [1, 1j]])
         np.testing.assert_array_equal(scalar.coefficients(2.0), [1.5])
 
     def test_drops_zero_polynomials(self):
-        epoly = ExpoPolynomial([(0.0, [1]), (2.0, [0, 0])])
+        epoly = ExpoPolynomial([0.0, 2.0], [[1], [0, 0]])
         assert [b for b, _ in epoly.terms] == [0.0]
 
     def test_effective_size_of_empty_raises(self):
@@ -265,7 +276,7 @@ class TestExpoPolynomial:
             ExpoPolynomial([]).effective_size
 
     def test_evaluate_constant(self):
-        epoly = ExpoPolynomial([(0.0, [1.0])])
+        epoly = ExpoPolynomial([0.0], [[1.0]])
         assert epoly.evaluate(1.3 - 2j) == 1.0
 
     def test_evaluate_pair_at_zero(self, unit_pair):
@@ -273,18 +284,18 @@ class TestExpoPolynomial:
         assert epoly.evaluate(0.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_evaluate_array(self):
-        epoly = ExpoPolynomial([(0.0, [0, 1]), (2.0, [1])])
+        epoly = ExpoPolynomial([0.0, 2.0], [[0, 1], [1]])
         z = np.array([0.0, 1.0 + 1j])
         expected = z + np.exp(2j * z)
         np.testing.assert_allclose(epoly.evaluate(z), expected, rtol=1e-14)
 
     def test_derivative_of_linear_term(self):
-        d = ExpoPolynomial([(0.0, [0, 1])]).derivative()
+        d = ExpoPolynomial([0.0], [[0, 1]]).derivative()
         assert [b for b, _ in d.terms] == [0.0]
         np.testing.assert_array_equal(d.coefficients(0.0), [1])
 
     def test_derivative_of_pure_exponential(self):
-        d = ExpoPolynomial([(1.5, [1.0])]).derivative()
+        d = ExpoPolynomial([1.5], [[1.0]]).derivative()
         np.testing.assert_allclose(d.coefficients(1.5), [1.5j])
 
     def test_derivative_finite_difference(self):
@@ -300,14 +311,76 @@ class TestExpoPolynomial:
             exact = deriv.evaluate(z)
             assert abs(fd - exact) <= 1e-6 * (1 + abs(exact))
 
+    def test_array_constructor_normalises(self):
+        freqs = np.array([2.0, 0.0, 1.0, 2.0, 3.0])
+        coeffs = np.array(
+            [[1, 2, 0, 0], [3, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 1j, 0, 0]]
+        )
+        epoly = ExpoPolynomial(freqs, coeffs)
+        # sorted, 2.0 merged, the zero row at 1.0 dropped
+        np.testing.assert_array_equal(epoly.frequencies, [0.0, 2.0, 3.0])
+        assert epoly.nu == 2 and epoly.effective_size == 3.0
+        np.testing.assert_array_equal(epoly.coefficients(2.0), [0, 2])
+        np.testing.assert_array_equal(epoly.coefficients(3.0), [0, 1j])
+        with pytest.raises(KeyError):
+            epoly.coefficients(1.0)
+        # trailing zero columns trimmed to the widest row
+        assert epoly._fdf_table()[1].shape == (3, 4)
+        assert not epoly.frequencies.flags.writeable
+        freqs[:] = 7.0
+        coeffs[:] = 0.0
+        np.testing.assert_array_equal(epoly.frequencies, [0.0, 2.0, 3.0])
+        np.testing.assert_array_equal(epoly.coefficients(0.0), [3])
+
+    def test_array_constructor_ragged_and_empty(self):
+        epoly = ExpoPolynomial((1.0, 0.0), ([1, 2, 0], 4))
+        np.testing.assert_array_equal(epoly.frequencies, [0.0, 1.0])
+        assert [c.tolist() for _, c in epoly.terms] == [[4], [1, 2]]
+        zero_rows = ExpoPolynomial([1.0, 2.0], [[0], [0, 0]])
+        for empty in (ExpoPolynomial(), ExpoPolynomial([], []), zero_rows):
+            assert empty.frequencies.shape == (0,) and empty.nu == -1
+            assert empty.terms == () and empty.to_jsonable() == []
+            assert empty.derivative().terms == ()
+        with pytest.raises(ValidationError):
+            ExpoPolynomial([0.0, 1.0], [[1, 2]])
+
+    def test_terms_match_pairwise_construction(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            size = int(rng.integers(1, 12))
+            freqs = rng.choice([0.0, 0.5, 1.25, 3.0], size=size).tolist()
+            rows = [
+                (rng.integers(-1, 2, size=int(rng.integers(1, 5))) * (1 + 1j)).tolist()
+                for _ in range(size)
+            ]
+            epoly = ExpoPolynomial(freqs, rows)
+            ref = canonical_terms_reference(freqs, rows)
+            assert isinstance(epoly.terms, tuple) and epoly.terms is epoly.terms
+            assert len(epoly.terms) == len(ref)
+            for (b, c), (ref_b, ref_c) in zip(epoly.terms, ref):
+                assert type(b) is float and b == ref_b
+                assert c.dtype == complex and np.array_equal(c, ref_c)
+                assert not c.flags.writeable
+            np.testing.assert_array_equal(epoly.frequencies, [b for b, _ in ref])
+
+    def test_expansion_holds_few_python_objects(self):
+        rng = np.random.default_rng(17)
+        cfg = random_configuration(8, rng)
+        a = rng.normal(size=8) + 1j * rng.normal(size=8)
+        expand(a, cfg)  # fills the sweep's table cache
+        gc.collect()
+        before = sys.getallocatedblocks()
+        held = expand(a, cfg)
+        gc.collect()
+        assert len(held[0].frequencies) > 10_000
+        assert sys.getallocatedblocks() - before < 1000
+
     def test_json_roundtrip(self, unit_pair):
         epoly, _ = expand([0.5, -0.25j], unit_pair)
         data = epoly.to_jsonable()
         rebuilt = ExpoPolynomial(
-            [
-                (item["frequency"], [complex(re, im) for re, im in item["coefficients"]])
-                for item in data
-            ]
+            [item["frequency"] for item in data],
+            [[complex(re, im) for re, im in item["coefficients"]] for item in data],
         )
         z = 1.1 - 0.3j
         assert rebuilt.evaluate(z) == pytest.approx(epoly.evaluate(z), rel=1e-15)

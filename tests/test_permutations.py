@@ -18,11 +18,23 @@ from resonance_sizer import (
     enumerate_classes,
     permutation_sign,
 )
-from resonance_sizer._sweep import perm_blocks, rank_parity
+from resonance_sizer._sweep import perm_blocks, term_arrays
 
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda p: Permutation(tuple(p)))
 )
+
+
+def rank_parity(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Inversion-count parity of lexicographic ranks (0 even, 1 odd): the
+    sum of the factorial-base digits of a rank is its inversion count."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    total = np.zeros_like(ranks)
+    f = math.factorial(n - 1)
+    for i in range(n - 1):
+        total += (ranks // f) % (n - i)
+        f //= n - 1 - i
+    return total & 1
 
 
 def inversion_sign(image):
@@ -94,9 +106,9 @@ def test_perm_blocks_match_itertools(n):
     blocks = list(perm_blocks(n))
     reference = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     assert np.array_equal(np.concatenate([b for _, b in blocks]), reference)
-    starts = [start for start, _ in blocks]
-    assert starts == [0] + np.cumsum([len(b) for _, b in blocks[:-1]]).tolist()
-    assert all(b.dtype == np.int64 for _, b in blocks)
+    parity = np.concatenate([p for p, _ in blocks])
+    assert np.array_equal(parity, rank_parity(np.arange(len(reference)), n))
+    assert all(b.dtype == np.int64 and len(p) == len(b) for p, b in blocks)
     if n <= 7:  # n! fits one default block: the cached table itself
         assert len(blocks) == 1 and not blocks[0][1].flags.writeable
 
@@ -107,8 +119,26 @@ def test_perm_blocks_small_blocks(block_size):
     blocks = list(perm_blocks(5, block_size))
     assert max(len(b) for _, b in blocks) <= block_size
     assert np.array_equal(np.concatenate([b for _, b in blocks]), reference)
-    for start, block in blocks:
-        assert np.array_equal(block, reference[start : start + len(block)])
+    start = 0
+    for parity, block in blocks:
+        ranks = np.arange(start, start + len(block))
+        assert np.array_equal(block, reference[ranks])
+        assert np.array_equal(parity, rank_parity(ranks, 5))
+        start += len(block)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_term_arrays_weights_signed_by_rank_parity(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(size=(n, 3))
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    _, w, _ = term_arrays(d)
+    ar = np.arange(n)
+    k1 = np.concatenate(
+        [1.0 / np.where(b == ar, 1.0, d[ar, b]).prod(axis=1) for _, b in perm_blocks(n)]
+    )
+    expected = np.where(rank_parity(np.arange(len(k1)), n), -k1, k1)
+    assert w.tobytes() == expected.tobytes()
 
 
 def test_edge_multigraph_identity_loops():
@@ -210,6 +240,15 @@ def test_enumerate_classes_representatives_are_canonical():
         assert rep == mates[0]  # lexicographically smallest member
     reps = [r.image for r in classes.representatives]
     assert reps == sorted(reps)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumerate_classes_images_array(n):
+    classes = enumerate_classes(n)
+    images = classes.images
+    assert images.shape == (classes.n_classes, n) and not images.flags.writeable
+    assert np.array_equal(images, [r.image for r in classes.representatives])
+    assert classes.representatives is classes.representatives
 
 
 def test_enumerate_classes_covers_sn():
