@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import TooFewPoints, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
 from .sizing import DEFAULT_GAP_TOL, is_generic, size_v
-from .zeros import counting_function
+from .zeros import _disk_counts
 
 DEFAULT_CLASS_TOL = 1e-8
 
@@ -108,9 +108,7 @@ def classify(
     radii_out = counts = residuals = None
     slope = intercept = w_est = None
     if radii is not None:
-        zero_counts = counting_function(
-            a, config, radii, freq_tol=freq_tol, cancel_tol=cancel_tol
-        )
+        zero_counts = _disk_counts(epoly, radii)
         radii_out = tuple(zc.radius for zc in zero_counts)
         counts = tuple(zc.count for zc in zero_counts)
         residuals = tuple(zc.winding_residual for zc in zero_counts)
@@ -165,12 +163,15 @@ def genericity_scan(
     streams spawned deterministically from the seed), records the fraction
     that is generic, the fraction classified Weyl, the distribution of the
     genericity gap, and any trial whose expansion had a frequency group
-    within near_factor * cancel_tol of cancelling.
+    within near_factor * cancel_tol of cancelling.  `trials` and `seed`
+    must be nonnegative.
     """
+    if trials < 0 or seed < 0:
+        raise ValidationError(f"trials and seed must be >= 0, got trials={trials}, seed={seed}")
     if strengths is None:
         strengths = np.zeros(n, dtype=complex)
     a = strength_values(strengths, n)
-    streams = np.random.SeedSequence(seed).spawn(max(trials, 0))
+    streams = np.random.SeedSequence(seed).spawn(trials)
     generic_flags = []
     weyl_flags = []
     min_gaps = []

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SizeMismatch
 from .geometry import Configuration, distance_matrix, validate_configuration
-from .permutations import ClassRepresentatives, Permutation, enumerate_classes
+from .permutations import ClassRepresentatives, enumerate_classes
 
 # Relative tolerance for genericity gaps; V values are floating sums of
 # distances, so exact comparison is not meaningful.
@@ -26,32 +25,25 @@ DEFAULT_GAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Result of a size computation."""
+    """Result of a size computation; `argmax` holds the 0-based images of
+    a maximizing permutation."""
 
     v: float
-    argmax: Permutation
+    argmax: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """Pairwise separation of V over edge-equivalence class representatives."""
+    """Pairwise separation of V over edge-equivalence class representatives.
+
+    `witness_pair` holds the 0-based images of the two representatives
+    whose V values are closest, each a row of `enumerate_classes(N).images`.
+    """
 
     is_generic: bool
     min_gap: float
-    witness_pair: tuple[Permutation, Permutation]
+    witness_pair: tuple[tuple[int, ...], tuple[int, ...]]
     gap_tol: float
-
-
-def _v_of_image(d: np.ndarray, image) -> float:
-    return float(d[np.arange(d.shape[0]), np.asarray(image)].sum())
-
-
-def v_sigma(config: Configuration, sigma: Permutation) -> float:
-    """Total bond length sum_j |y_j - y_sigma(j)| (fixed points contribute 0)."""
-    config = validate_configuration(config)
-    if sigma.n != config.n:
-        raise SizeMismatch(f"permutation on {sigma.n} items vs {config.n} centers")
-    return _v_of_image(distance_matrix(config), sigma.image)
 
 
 def size_v(config: Configuration) -> SizeReport:
@@ -63,8 +55,8 @@ def size_v(config: Configuration) -> SizeReport:
     config = validate_configuration(config)
     d = distance_matrix(config)
     rows, cols = linear_sum_assignment(d, maximize=True)
-    image = tuple(int(c) for c in cols[np.argsort(rows)])
-    return SizeReport(_v_of_image(d, image), Permutation(image))
+    image = cols[np.argsort(rows)]
+    return SizeReport(float(d[np.arange(config.n), image].sum()), tuple(image.tolist()))
 
 
 def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
@@ -89,8 +81,8 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     gaps = np.diff(values[order])
     i = int(np.argmin(gaps))
     witness = (
-        Permutation(reps.images[order[i]].tolist()),
-        Permutation(reps.images[order[i + 1]].tolist()),
+        tuple(reps.images[order[i]].tolist()),
+        tuple(reps.images[order[i + 1]].tolist()),
     )
     min_gap = float(gaps[i])
     return GenericityReport(min_gap > tol, min_gap, witness, tol)

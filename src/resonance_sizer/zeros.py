@@ -355,10 +355,16 @@ def counting_function(
     Radii must be strictly increasing; counts are nondecreasing since the
     disks are nested.
     """
+    epoly, _ = expand(strengths, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+    return _disk_counts(epoly, radii, residual_tol)
+
+
+def _disk_counts(epoly, radii, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> list[ZeroCount]:
+    """counting_function's disk counts on an expansion the caller already
+    made, so that classify sweeps S_N once."""
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
-    epoly, _ = expand(strengths, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
     scale = max(epoly.effective_size, 1e-3)
     return [
         count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale, residual_tol=residual_tol)

@@ -22,16 +22,15 @@ from numpy.polynomial import polynomial as npoly
 from resonance_sizer import (
     Configuration,
     ExpoPolynomial,
-    Permutation,
-    TooLarge,
     distance_matrix,
-    permutation_sign,
     validate_configuration,
 )
 from resonance_sizer import _sweep
+from resonance_sizer.errors import TooLarge
 from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
 from resonance_sizer.geometry import strength_values
 from resonance_sizer.permutations import MAX_ENUM_N
+from tests.permutation_reference import Permutation, permutation_sign
 
 
 def _check_n(n: int) -> None:

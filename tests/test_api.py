@@ -1,0 +1,44 @@
+"""The package's public surface: `__all__` and the README quick start."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import resonance_sizer
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Names that the permutation object model held; it lives in
+# tests/permutation_reference.py, and the package holds image arrays.
+MOVED = (
+    "Permutation",
+    "cycle_decompose",
+    "permutation_sign",
+    "edge_multigraph",
+    "edge_equivalent",
+    "class_mates",
+    "v_sigma",
+)
+
+
+def test_all_has_31_names():
+    assert len(resonance_sizer.__all__) == len(set(resonance_sizer.__all__)) == 31
+
+
+@pytest.mark.parametrize(
+    "name, exported",
+    [(name, True) for name in resonance_sizer.__all__] + [(name, False) for name in MOVED],
+)
+def test_public_names(name, exported):
+    assert hasattr(resonance_sizer, name) == exported
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    assert namespace["report"].classification == "Weyl"
+    assert [zc.count for zc in namespace["counts"]] == sorted(zc.count for zc in namespace["counts"])

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from resonance_sizer import (
-    TooFewPoints,
+    ValidationError,
     classify,
+    counting_function,
     expand,
-    fit_slope,
     genericity_scan,
     is_generic,
     random_configuration,
-    scale_configuration,
     validate_configuration,
 )
+from resonance_sizer import asymptotics, zeros
+from resonance_sizer.asymptotics import fit_slope
+from resonance_sizer.errors import TooFewPoints
+from resonance_sizer.geometry import scale_configuration
 from tests.conftest import DISPHENOID_B_NU, DISPHENOID_V, apply_rigid_motion
 
 STRENGTH_CASES = {
@@ -113,6 +116,41 @@ def test_classify_with_counting_grid(unit_pair):
     assert report.w_est == pytest.approx(np.pi * report.fitted_slope)
     # transient radii below 20/b_nu = 10 are skipped automatically: none here
     assert "slope_vs_b_nu" in report.relative_discrepancies
+
+
+def test_classify_with_counts_expands_once(monkeypatch):
+    cfg = random_configuration(4, seed=3)
+    a = np.array([0.5, -1.0, 0.25 + 0.5j, 2.0])
+    radii = [2.0, 4.0, 6.0]
+    expands, disks = [], []
+    count_zeros_disk = zeros.count_zeros_disk
+
+    def expand_spy(*args, **kwargs):
+        expands.append(args)
+        return expand(*args, **kwargs)
+
+    def disk_spy(*args, **kwargs):
+        disks.append(count_zeros_disk(*args, **kwargs))
+        return disks[-1]
+
+    monkeypatch.setattr(asymptotics, "expand", expand_spy)
+    monkeypatch.setattr(zeros, "expand", expand_spy)
+    monkeypatch.setattr(zeros, "count_zeros_disk", disk_spy)
+    report = classify(a, cfg, radii=radii, skip=0)
+    assert len(expands) == 1
+    monkeypatch.undo()
+    counts = counting_function(a, cfg, radii)
+    # ZeroCount equality covers count, residual, points and contour_radius
+    assert disks == counts
+    assert report.radii == tuple(radii)
+    assert report.counts == tuple(zc.count for zc in counts)
+    assert report.winding_residuals == tuple(zc.winding_residual for zc in counts)
+
+
+@pytest.mark.parametrize("radii", [[2.0, 2.0, 3.0], [3.0, 2.0]])
+def test_classify_requires_increasing_radii(unit_pair, radii):
+    with pytest.raises(ValidationError):
+        classify([0, 0], unit_pair, radii=radii)
 
 
 def test_scan_deterministic_and_generic():

@@ -326,3 +326,15 @@ def test_scan_rejects_single_center(capsys):
 def test_scan_rejects_oversized(capsys):
     rc, _, _ = run(capsys, "scan", "--n", "11", "--trials", "1")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "5", "--trials", "-3"], ["--n", "3", "--trials", "2", "--seed", "-1"]],
+    ids=["negative-trials", "negative-seed"],
+)
+def test_scan_rejects_negative_trials_and_seed(capsys, argv):
+    rc, out, err = run(capsys, "scan", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: trials and seed must be >= 0")

@@ -8,22 +8,19 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from resonance_sizer import (
-    CancellationGroup,
     ExpoPolynomial,
-    TooLarge,
     ValidationError,
     determinant_direct,
     distance_matrix,
-    edge_multigraph,
     expand,
     random_configuration,
     size_v,
-    v_sigma,
     validate_configuration,
     zero_frequency_polynomial,
 )
 from tests.conftest import DISPHENOID_CENTERS
-from resonance_sizer.expoly import _KERNEL_BLOCK
+from resonance_sizer.errors import TooLarge
+from resonance_sizer.expoly import _KERNEL_BLOCK, CancellationGroup
 from tests.expoly_reference import (
     canonical_terms_reference,
     derivative_reference,
@@ -31,6 +28,7 @@ from tests.expoly_reference import (
     expand_reference,
     leibniz_terms,
 )
+from tests.permutation_reference import edge_multigraph, v_sigma
 
 FOUR_PI = 4 * np.pi
 
@@ -196,7 +194,7 @@ class TestExpand:
         assert expected and report.near_cancellations(factor) == expected
 
     def test_strength_length_mismatch(self):
-        from resonance_sizer import SizeMismatch
+        from resonance_sizer.errors import SizeMismatch
 
         cfg = random_configuration(3, seed=1)
         with pytest.raises(SizeMismatch):

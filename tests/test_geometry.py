@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from resonance_sizer import (
+    ValidationError,
+    distance_matrix,
+    random_configuration,
+    validate_configuration,
+)
+from resonance_sizer.errors import (
     CoincidentCenters,
     NonpositiveScale,
     SamplingExhausted,
     TooFewCenters,
-    ValidationError,
-    distance_matrix,
-    random_configuration,
-    scale_configuration,
-    validate_configuration,
 )
-from resonance_sizer.geometry import strength_values
+from resonance_sizer.geometry import scale_configuration, strength_values
 from tests.conftest import apply_rigid_motion
 
 

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from resonance_sizer import (
-    Permutation,
-    SizeMismatch,
-    class_mates,
     distance_matrix,
-    edge_equivalent,
+    enumerate_classes,
     is_generic,
     random_configuration,
-    scale_configuration,
     size_v,
-    v_sigma,
     validate_configuration,
 )
+from resonance_sizer.errors import SizeMismatch
+from resonance_sizer.geometry import scale_configuration
 from tests.conftest import apply_rigid_motion, brute_size
+from tests.permutation_reference import (
+    Permutation,
+    class_mates,
+    edge_equivalent,
+    v_sigma,
+)
 
 
 def brute_max(config):
@@ -48,7 +51,7 @@ def test_v_sigma_size_mismatch(unit_pair):
 def test_size_v_pair(unit_pair):
     report = size_v(unit_pair)
     assert report.v == pytest.approx(2.0, rel=1e-15)
-    assert report.argmax == Permutation((1, 0))
+    assert report.argmax == (1, 0)
     assert brute_size(unit_pair)[1] == {(1, 0)}
 
 
@@ -58,7 +61,7 @@ def test_size_v_equilateral(equilateral):
     # both 3-cycles tie; transpositions reach only 2
     achievers = brute_size(equilateral)[1]
     assert achievers == {(1, 2, 0), (2, 0, 1)}
-    assert report.argmax.image in achievers
+    assert report.argmax in achievers
 
 
 def test_size_v_collinear(collinear):
@@ -67,7 +70,7 @@ def test_size_v_collinear(collinear):
     # the end-swapping transposition and both 3-cycles all attain 4
     achievers = brute_size(collinear)[1]
     assert achievers == {(2, 1, 0), (1, 2, 0), (2, 0, 1)}
-    assert report.argmax.image in achievers
+    assert report.argmax in achievers
 
 
 def test_size_v_assignment_matches_brute_small():
@@ -79,6 +82,27 @@ def test_size_v_assignment_matches_brute_small():
             assign = size_v(cfg)
             assert assign.v == pytest.approx(brute_v, abs=1e-12 * max(1.0, brute_v))
             assert brute_v == pytest.approx(brute_max(cfg), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_size_v_argmax_is_image_tuple(n):
+    cfg = random_configuration(n, seed=n)
+    argmax = size_v(cfg).argmax
+    assert type(argmax) is tuple and all(type(j) is int for j in argmax)
+    assert sorted(argmax) == list(range(n))
+    assert v_sigma(cfg, Permutation(argmax)) == size_v(cfg).v
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_witness_pair_rows_of_class_images(n):
+    cfg = random_configuration(n, seed=10 + n)
+    report = is_generic(cfg)
+    rows = [tuple(row) for row in enumerate_classes(n).images.tolist()]
+    a, b = report.witness_pair
+    assert a in rows and b in rows and a != b
+    assert all(type(j) is int for j in a + b)
+    gap = v_sigma(cfg, Permutation(b)) - v_sigma(cfg, Permutation(a))
+    assert gap == pytest.approx(report.min_gap, rel=1e-9, abs=1e-12)
 
 
 def test_v_sigma_inverse_and_class_mates():
@@ -103,14 +127,14 @@ def test_v_scaling_covariance():
         assert v_sigma(scaled, sigma) == pytest.approx(c * v_sigma(cfg, sigma), rel=1e-12)
         r0, r1 = size_v(cfg), size_v(scaled)
         assert r1.v == pytest.approx(c * r0.v, rel=1e-12)
-        assert edge_equivalent(r0.argmax, r1.argmax)
+        assert edge_equivalent(Permutation(r0.argmax), Permutation(r1.argmax))
 
 
 def test_is_generic_collinear_false(collinear):
     report = is_generic(collinear)
     assert not report.is_generic
     assert report.min_gap == pytest.approx(0.0, abs=1e-12)
-    a, b = report.witness_pair
+    a, b = map(Permutation, report.witness_pair)
     assert v_sigma(collinear, a) == pytest.approx(v_sigma(collinear, b), abs=1e-12)
 
 

@@ -6,18 +6,17 @@ from resonance_sizer import (
     Rectangle,
     ValidationError,
     count_zeros_disk,
-    count_zeros_rect,
     counting_function,
     determinant_direct,
     expand,
     find_resonances,
     gamma_matrix,
-    newton_polish,
     random_configuration,
     size_v,
     validate_configuration,
     zero_frequency_polynomial,
 )
+from resonance_sizer.zeros import count_zeros_rect, newton_polish
 from tests.conftest import (
     EDGE_ZEROS,
     MIRROR_PAIR_CENTERS,
