@@ -7,6 +7,12 @@ classification compares b_nu with the configuration size V(Y): equality
 cancelled.  An optional least-squares fit of empirical counts against R
 cross-checks the slope; it is advisory only, because the O(1) term makes
 finite-radius slopes noisy while b_nu and V are exact combinatorial data.
+
+`classify` takes b_nu from the class certificate (`sizing.certify_top_class`)
+when V's maximizers form one edge-equivalence class clear of every other
+permutation, and expands the determinant otherwise, or when counts are asked
+for.  `genericity_scan` always expands: it reports near-cancelled frequency
+groups, which only the full expansion has.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints, ValidationError
+from .errors import TooFewPoints, TooLarge, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
-from .sizing import DEFAULT_GAP_TOL, is_generic, size_v
+from .permutations import MAX_ENUM_N
+from .sizing import DEFAULT_GAP_TOL, certify_top_class, is_generic, size_v
 from .zeros import _disk_counts
 
 DEFAULT_CLASS_TOL = 1e-8
@@ -30,7 +37,11 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class CountingReport:
-    """Exact effective size vs configuration size, plus optional empirics."""
+    """Exact effective size vs configuration size, plus optional empirics.
+
+    `class_margin` is the class certificate's margin when the certificate
+    decided b_nu, and None when the determinant expansion did.
+    """
 
     b_nu: float
     v: float
@@ -42,6 +53,7 @@ class CountingReport:
     fitted_slope: float | None = None
     fitted_intercept: float | None = None
     w_est: float | None = None
+    class_margin: float | None = None
 
 
 @dataclass(frozen=True)
@@ -96,12 +108,26 @@ def classify(
     counting function is computed and fitted (skipping radii below
     20 / b_nu by default) and pi * slope is reported as a consistency
     estimate of the effective size.
+
+    Without radii, b_nu comes from the class certificate where it holds
+    (then N is not capped); otherwise from the expansion, which is capped
+    at N <= 10 (`TooLarge`).
     """
     config = validate_configuration(config)
     a = strength_values(strengths, config.n)
-    epoly, _ = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
-    b_nu = epoly.effective_size
-    v = size_v(config).v
+    top = certify_top_class(config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+    v = top.v
+    if radii is None and top.b_nu is not None:
+        b_nu, margin = top.b_nu, top.margin
+    else:
+        if radii is None and config.n > MAX_ENUM_N:
+            raise TooLarge(
+                f"top frequency not certified (class margin {top.margin:.3e}, "
+                f"needs > {top.threshold:.3e}), and the determinant expansion is "
+                f"capped at N <= {MAX_ENUM_N}, got N = {config.n}"
+            )
+        epoly, _ = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+        b_nu, margin = epoly.effective_size, None
     classification = _verdict(b_nu, v, class_tol)
     discrepancies = {"b_nu_vs_v": abs(b_nu - v) / max(1.0, v)}
 
@@ -128,6 +154,7 @@ def classify(
         fitted_slope=slope,
         fitted_intercept=intercept,
         w_est=w_est,
+        class_margin=margin,
     )
 
 

@@ -23,6 +23,7 @@ from .asymptotics import classify as classify_report
 from .errors import NumericalError, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand, zero_frequency_polynomial
 from .geometry import Configuration, distance_matrix, validate_configuration
+from .permutations import MAX_ENUM_N
 from .sizing import DEFAULT_GAP_TOL, is_generic
 from .zeros import Rectangle, counting_function, find_resonances
 
@@ -228,13 +229,17 @@ def cmd_classify(args) -> int:
         freq_tol=tol["freq_tol"],
         cancel_tol=tol["cancel_tol"],
     )
-    generic = is_generic(rc.config, gap_tol=tol["gap_tol"]).is_generic
+    # the class test sweeps S_N, so above its cap genericity is left open
+    generic = None
+    if rc.config.n <= MAX_ENUM_N:
+        generic = is_generic(rc.config, gap_tol=tol["gap_tol"]).is_generic
     _emit_json(
         {
             "n": rc.config.n,
             "b_nu": report.b_nu,
             "v": report.v,
             "classification": report.classification,
+            "class_margin": report.class_margin,
             "relative_discrepancies": report.relative_discrepancies,
             "is_generic": generic,
             "radii": list(report.radii) if report.radii else None,

@@ -218,6 +218,41 @@ def test_classify_random_generic_n4(tmp_path, capsys):
     assert json.loads(out)["classification"] == "Weyl"
 
 
+def test_classify_reports_class_margin(tmp_path, capsys):
+    counting = {"r_min": 10.0, "r_max": 30.0, "steps": 3}
+    path = write_config(tmp_path, counting=counting)
+    rc, out, _ = run(capsys, "classify", "--config", path)
+    assert rc == 0
+    # the identity falls short of the swap by V = 2
+    assert json.loads(out)["class_margin"] == pytest.approx(2.0)
+    rc, out, _ = run(capsys, "classify", "--config", path, "--with-counts")
+    assert rc == 0
+    assert json.loads(out)["class_margin"] is None
+
+
+def test_classify_above_enumeration_cap(tmp_path, capsys):
+    centers = np.random.default_rng(20).uniform(size=(20, 3)).tolist()
+    path = write_config(tmp_path, centers=centers, strengths=[[0.1, -0.2]] * 20)
+    rc, out, _ = run(capsys, "classify", "--config", path)
+    assert rc == 0
+    data = json.loads(out)
+    assert data["n"] == 20
+    assert data["classification"] == "Weyl"
+    assert data["b_nu"] == data["v"]
+    assert data["class_margin"] > 0
+    assert data["is_generic"] is None
+
+
+def test_classify_uncertified_above_cap_exits_2(tmp_path, capsys):
+    centers = [[float(k), 0.0, 0.0] for k in range(12)]
+    path = write_config(tmp_path, centers=centers, strengths=[0.0] * 12)
+    rc, out, err = run(capsys, "classify", "--config", path)
+    assert rc == 2
+    assert out == ""
+    assert "not certified" in err
+    assert "capped at N <= 10" in err
+
+
 def test_count_csv(tmp_path, capsys):
     path = write_config(
         tmp_path, counting={"r_min": 5.0, "r_max": 20.0, "steps": 4}
