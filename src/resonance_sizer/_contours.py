@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourThroughZero, QuadratureDivergence
+from .errors import ContourThroughZero, EvaluationOverflow, QuadratureDivergence
 
 # Contour samples with |f| below this fraction of the median stop the count.
 _CONTOUR_GUARD = 1e-12
@@ -37,6 +37,8 @@ MAX_MOVES = 4
 # lies on it: Newton stops at relative steps of 1e-12, so a zero on the
 # boundary may land that far to either side.
 ON_BOUNDARY = 1e-9
+# e^{b |Im z|} overflows a double past this exponent.
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class Nodes:
 
 class Hugged(Exception):
     """Zeros located within a quarter node spacing of a contour (none when
-    a sample of f vanished or overflowed and Newton found no zero there)."""
+    a sample of f vanished and Newton found no zero there)."""
 
     def __init__(self, zeros: list[complex], nodes: Nodes):
         super().__init__(zeros)
@@ -174,10 +176,25 @@ def settle(fdf, levels, nodes: Nodes, contour, residual_tol: float):
     raise QuadratureDivergence(f"winding number did not stabilize on {contour}", where=contour)
 
 
-def _contour_values(fdf, z: np.ndarray):
-    """f and f' on the nodes z, as complex arrays."""
-    fv, dfv = fdf(z)
-    return np.asarray(fv, dtype=complex), np.asarray(dfv, dtype=complex)
+def _contour_values(fdf, z: np.ndarray, contour, freq_scale: float):
+    """f and f' on the nodes z of contour, as complex arrays.
+
+    Raises EvaluationOverflow when some value is not finite: on finite
+    nodes that is an overflow, never a zero of f.
+    """
+    with np.errstate(all="ignore"):
+        fv, dfv = fdf(z)
+    fv, dfv = np.asarray(fv, dtype=complex), np.asarray(dfv, dtype=complex)
+    bad = ~(np.isfinite(fv) & np.isfinite(dfv))
+    if bad.any():
+        im = float(np.abs(z[bad].imag).max())
+        raise EvaluationOverflow(
+            f"f or f' overflowed at {int(bad.sum())} of {len(z)} nodes on {contour}: "
+            f"b*|Im z| reaches {freq_scale:.6g} * {im:.6g} = {freq_scale * im:.1f} there, "
+            f"against a double-precision headroom of log(DBL_MAX) = {_LOG_DBL_MAX:.2f}",
+            where=contour,
+        )
+    return fv, dfv
 
 
 def _guard_trips(absf: np.ndarray) -> bool:
@@ -185,9 +202,9 @@ def _guard_trips(absf: np.ndarray) -> bool:
     return bool(absf.min() < _CONTOUR_GUARD * np.median(absf))
 
 
-def disk_levels(fdf, center: complex, r: float, n: int, nodes: Nodes):
+def disk_levels(fdf, circle: Circle, n: int, freq_scale: float, nodes: Nodes):
     """Yield (n, raw winding number) for n, 2n, 4n, ... <= _MAX_POINTS nodes
-    on |z - center| = r.
+    on the circle |z - center| = r.
 
     The nodes 2 pi k / n of one level are bit-identical to the even nodes
     2 pi (2k) / (2n) of the next, so each level evaluates only its odd
@@ -196,6 +213,7 @@ def disk_levels(fdf, center: complex, r: float, n: int, nodes: Nodes):
     nodes.  Yields None for the raw value when a sample of f vanishes
     against the median or the sum is not finite, and then stops.
     """
+    center, r = circle.center, circle.radius
     total = 0.0 + 0.0j
     absf = np.empty(0)
     start, step = 0, 1
@@ -205,7 +223,7 @@ def disk_levels(fdf, center: complex, r: float, n: int, nodes: Nodes):
             k = np.arange(lo, min(n, lo + step * _CHUNK), step)
             unit = np.exp(1j * (2 * np.pi * k / n))
             z = center + r * unit
-            fv, dfv = _contour_values(fdf, z)
+            fv, dfv = _contour_values(fdf, z, circle, freq_scale)
             parts.append(np.abs(fv))
             with np.errstate(all="ignore"):
                 g = dfv / fv
@@ -252,7 +270,7 @@ def rect_levels(fdf, rect, freq_scale: float, nodes: Nodes):
     while True:
         ks = [np.arange(start, n, step) for n in counts]
         z = np.concatenate([a + s * (k / n) for a, s, k, n in zip(corners, sides, ks, counts)])
-        fv, dfv = _contour_values(fdf, z)
+        fv, dfv = _contour_values(fdf, z, rect, freq_scale)
         with np.errstate(all="ignore"):
             g = dfv / fv
             t = np.concatenate([e + k / n for e, (k, n) in enumerate(zip(ks, counts))])
@@ -285,7 +303,7 @@ def winding(fdf, contour, freq_scale: float, residual_tol: float):
     nodes = Nodes()
     if isinstance(contour, Circle):
         n0 = max(256, int(math.ceil(8 * contour.radius * freq_scale)))
-        levels = disk_levels(fdf, contour.center, contour.radius, n0, nodes)
+        levels = disk_levels(fdf, contour, n0, freq_scale, nodes)
     else:
         levels = rect_levels(fdf, contour, freq_scale, nodes)
         levels = itertools.islice(levels, _RECT_DOUBLINGS)
@@ -295,7 +313,7 @@ def winding(fdf, contour, freq_scale: float, residual_tol: float):
 
 def no_zero_located(contour) -> ContourThroughZero:
     return ContourThroughZero(
-        f"a sample of f vanished or overflowed on {contour} and Newton located no zero near it",
+        f"a sample of f vanished on {contour} and Newton located no zero near it",
         where=contour,
     )
 

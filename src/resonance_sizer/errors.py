@@ -62,5 +62,10 @@ class ContourThroughZero(NumericalError):
     """The integration contour passes too close to a zero, even after nudging."""
 
 
+class EvaluationOverflow(NumericalError):
+    """f or f' overflowed double precision on a contour: the terms
+    e^{i b z} grow like e^{b |Im z|}, past log(DBL_MAX) ~ 709.78."""
+
+
 class QuadratureDivergence(NumericalError):
     """The winding-number quadrature did not stabilize within the point budget."""

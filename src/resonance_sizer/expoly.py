@@ -89,6 +89,11 @@ class CancellationReport:
         near = np.flatnonzero(post_scale <= factor * self.cancel_tol * pre_scale)
         return tuple(map(self.groups.__getitem__, near.tolist()))
 
+    def _top_frequency(self) -> float:
+        """Frequency of the top group, cancelled or not: the size V(Y) up to
+        the spread of its cluster (freq_tol * max(1, V) per link)."""
+        return float(self.groups._columns[0][-1])
+
 
 class ExpoPolynomial:
     """Canonical exponential polynomial sum_j P_{b_j}(z) e^{i b_j z}.

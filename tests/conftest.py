@@ -60,6 +60,25 @@ MIRROR_PAIR_STRENGTHS = (
 MIRROR_PAIR_RADIUS = 123.9825075442799
 MIRROR_PAIR_COUNT = 195
 
+
+def _double_disphenoid():
+    one = np.array([[0.3, 0, 0], [-0.3, 0, 0], [0, 0.3, 1], [0, -0.3, 1]])
+    return np.vstack([one, one + [5.0, 0.0, 0.0]])
+
+
+# The four structured N = 8 shapes of the classify benchmark at canonical
+# placement.  Cube and octagon have one antipodal maximizer; collinear
+# points and the double disphenoid tie at the top.
+SHAPES = {
+    "cube": np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+    "octagon": np.array(
+        [[math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0] for k in range(8)]
+    ),
+    "collinear": np.array([[float(k), 0.0, 0.0] for k in range(8)]),
+    "double-disphenoid": _double_disphenoid(),
+}
+
+
 @lru_cache(maxsize=None)
 def _all_permutations(n):
     return np.array(list(itertools.permutations(range(n))))

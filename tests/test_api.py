@@ -1,6 +1,9 @@
 """The package's public surface: `__all__` and the README quick start."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,22 @@ def test_readme_quick_start_runs():
     exec(compile(block, "README.md quick start", "exec"), namespace)
     assert namespace["report"].classification == "Weyl"
     assert [zc.count for zc in namespace["counts"]] == sorted(zc.count for zc in namespace["counts"])
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only dependency: a fresh interpreter that imports the
+    # package and its CLI must not load scipy
+    code = (
+        "import sys, resonance_sizer, resonance_sizer.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(resonance_sizer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

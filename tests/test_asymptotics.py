@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resonance_sizer import (
+    ScanSummary,
     ValidationError,
     classify,
     counting_function,
@@ -11,7 +12,7 @@ from resonance_sizer import (
     random_configuration,
     validate_configuration,
 )
-from resonance_sizer import asymptotics, zeros
+from resonance_sizer import asymptotics, sizing, zeros
 from resonance_sizer.asymptotics import fit_slope
 from resonance_sizer.errors import TooFewPoints
 from resonance_sizer.geometry import scale_configuration
@@ -175,3 +176,109 @@ def test_scan_different_seeds_differ():
     s1 = genericity_scan(3, 10, seed=1)
     s2 = genericity_scan(3, 10, seed=2)
     assert s1.min_gap_quantiles != s2.min_gap_quantiles
+
+
+# genericity_scan(5, 25, seed) for seeds 0-4 while it still took V from
+# size_v once per trial; taking V from the expansion must not move them.
+SCANS_WITH_SIZE_V = (
+    ScanSummary(
+        n=5,
+        trials=25,
+        seed=0,
+        fraction_generic=1.0,
+        fraction_weyl=1.0,
+        min_gap_quantiles={
+            "min": 0.00011311301274874452,
+            "p25": 0.0003618019960607288,
+            "median": 0.0006341760016521647,
+            "p75": 0.0009581460096979022,
+            "max": 0.002817149126725038,
+        },
+        near_cancellation_count=0,
+        near_cancellation_trials=(),
+    ),
+    ScanSummary(
+        n=5,
+        trials=25,
+        seed=1,
+        fraction_generic=1.0,
+        fraction_weyl=1.0,
+        min_gap_quantiles={
+            "min": 1.986462061087657e-05,
+            "p25": 0.00047039256966607823,
+            "median": 0.0006432016144506392,
+            "p75": 0.0009431155443015982,
+            "max": 0.001982284816418378,
+        },
+        near_cancellation_count=0,
+        near_cancellation_trials=(),
+    ),
+    ScanSummary(
+        n=5,
+        trials=25,
+        seed=2,
+        fraction_generic=1.0,
+        fraction_weyl=1.0,
+        min_gap_quantiles={
+            "min": 1.7390762124147585e-05,
+            "p25": 0.0003348372654610188,
+            "median": 0.0008149189419248692,
+            "p75": 0.0016296710453564955,
+            "max": 0.002715024759975204,
+        },
+        near_cancellation_count=0,
+        near_cancellation_trials=(),
+    ),
+    ScanSummary(
+        n=5,
+        trials=25,
+        seed=3,
+        fraction_generic=1.0,
+        fraction_weyl=1.0,
+        min_gap_quantiles={
+            "min": 1.1059282167380502e-05,
+            "p25": 0.0003307334705562326,
+            "median": 0.0007566100920977092,
+            "p75": 0.0011415605576803323,
+            "max": 0.003502066169632556,
+        },
+        near_cancellation_count=0,
+        near_cancellation_trials=(),
+    ),
+    ScanSummary(
+        n=5,
+        trials=25,
+        seed=4,
+        fraction_generic=1.0,
+        fraction_weyl=1.0,
+        min_gap_quantiles={
+            "min": 1.0662383987281032e-05,
+            "p25": 0.00011739600043769727,
+            "median": 0.00042824181625134017,
+            "p75": 0.0016818351945038224,
+            "max": 0.004275502162684575,
+        },
+        near_cancellation_count=0,
+        near_cancellation_trials=(),
+    ),
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scan_takes_v_from_its_expansion(seed, monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sizing, "_assignment", spy(sizing._assignment))
+    monkeypatch.setattr(sizing, "size_v", spy(sizing.size_v))
+    monkeypatch.setattr(asymptotics, "size_v", spy(asymptotics.size_v))
+    assert genericity_scan(5, 25, seed) == SCANS_WITH_SIZE_V[seed]
+    assert calls == []
+    sizing.size_v(random_configuration(5, seed))
+    assert calls == ["size_v", "_assignment"]  # the spies are live

@@ -23,26 +23,12 @@ from resonance_sizer import asymptotics
 from resonance_sizer.asymptotics import _verdict
 from resonance_sizer.errors import TooLarge
 from resonance_sizer.sizing import certify_top_class, class_margin
-from tests.conftest import brute_size
+from tests.conftest import SHAPES, brute_size
 from tests.permutation_reference import Permutation, edge_equivalent
 
 
-def _double_disphenoid():
-    one = np.array([[0.3, 0, 0], [-0.3, 0, 0], [0, 0.3, 1], [0, -0.3, 1]])
-    return np.vstack([one, one + [5.0, 0.0, 0.0]])
-
-
-# The four structured N = 8 shapes of the classify benchmark at canonical
-# placement.  Cube and octagon have one antipodal maximizer; collinear
-# points and the double disphenoid tie at the top and must fall back.
-SHAPES = {
-    "cube": np.array(list(itertools.product((0.0, 1.0), repeat=3))),
-    "octagon": np.array(
-        [[math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0] for k in range(8)]
-    ),
-    "collinear": np.array([[float(k), 0.0, 0.0] for k in range(8)]),
-    "double-disphenoid": _double_disphenoid(),
-}
+# Of the classify benchmark's SHAPES, collinear points and the double
+# disphenoid tie at the top, so the certificate must fall back on them.
 # b_nu of the double disphenoid, measured with `expand` (its V is 40.8657).
 DOUBLE_DISPHENOID_B_NU = 40.529987637148494
 JITTERS = (0.0, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from resonance_sizer import cli
+from resonance_sizer import cli, random_configuration
 from resonance_sizer.errors import QuadratureDivergence
 from tests.conftest import DISPHENOID_B_NU, DISPHENOID_CENTERS, DISPHENOID_V
 
@@ -286,6 +286,22 @@ def test_count_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "count", "--config", path)
     assert rc == 3
     assert "5.0" in err
+
+
+def test_count_overflow_exits_3(tmp_path, capsys):
+    # b_nu = 4.94, so b_nu * R passes log(DBL_MAX) = 709.78 on both radii
+    cfg = random_configuration(6, np.random.default_rng(2))
+    path = write_config(
+        tmp_path,
+        centers=cfg.centers.tolist(),
+        strengths=[[0.0, 0.0]] * 6,
+        counting={"r_min": 155.0, "r_max": 160.0, "steps": 2},
+    )
+    rc, out, err = run(capsys, "count", "--config", path)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("numerical failure: f or f' overflowed")
+    assert "|z - 0.0| = 155.0" in err and "log(DBL_MAX) = 709.78" in err
 
 
 def test_resonances_p0_only(tmp_path, capsys):

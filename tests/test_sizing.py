@@ -1,7 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resonance_sizer import (
     distance_matrix,
@@ -13,7 +16,8 @@ from resonance_sizer import (
 )
 from resonance_sizer.errors import SizeMismatch
 from resonance_sizer.geometry import scale_configuration
-from tests.conftest import apply_rigid_motion, brute_size
+from resonance_sizer.sizing import _assignment
+from tests.conftest import DISPHENOID_CENTERS, SHAPES, apply_rigid_motion, brute_size
 from tests.permutation_reference import (
     Permutation,
     class_mates,
@@ -82,6 +86,79 @@ def test_size_v_assignment_matches_brute_small():
             assign = size_v(cfg)
             assert assign.v == pytest.approx(brute_v, abs=1e-12 * max(1.0, brute_v))
             assert brute_v == pytest.approx(brute_max(cfg), rel=1e-15)
+
+
+def _check_assignment(d):
+    """The image is a permutation whose V the duals certify optimal: they
+    are feasible (u[i] + w[j] >= d[i, j]), tight on its bonds and sum to V."""
+    v, image, u, w = _assignment(d)
+    n = len(d)
+    tol = 1e-12 * max(1.0, v)
+    assert sorted(image.tolist()) == list(range(n))
+    assert v == float(d[np.arange(n), image].sum())
+    slack = u[:, None] + w[None, :] - d
+    assert slack.min() >= -tol
+    assert np.abs(slack[np.arange(n), image]).max() <= tol
+    assert abs(u.sum() + w.sum() - v) <= tol
+    return v, tuple(image.tolist())
+
+
+def _check_against_brute(cfg, v, argmax):
+    brute_v, achievers = brute_size(cfg)
+    assert v == pytest.approx(brute_v, rel=1e-12)
+    assert argmax in achievers
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
+def test_assignment_duals_certify_random(n, seed):
+    cfg = random_configuration(n, seed)
+    v, argmax = _check_assignment(distance_matrix(cfg))
+    if n <= 8:
+        _check_against_brute(cfg, v, argmax)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(SHAPES) + ["disphenoid"]),
+    seed=st.integers(0, 2**32 - 1),
+    moved=st.booleans(),
+)
+def test_assignment_duals_certify_structured(shape, seed, moved):
+    # canonical placement keeps the exact ties; a rigid motion rounds them
+    rng = np.random.default_rng(seed)
+    centers = np.array(DISPHENOID_CENTERS) if shape == "disphenoid" else SHAPES[shape]
+    cfg = validate_configuration(centers[rng.permutation(len(centers))])
+    if moved:
+        cfg = apply_rigid_motion(cfg, rng)
+    _check_against_brute(cfg, *_check_assignment(distance_matrix(cfg)))
+
+
+# Maximizers picked on shapes with tied tops (576 maximizers on the
+# collinear points, 16 on the double disphenoid, 4 on the disphenoid), as
+# the earlier scipy `linear_sum_assignment` picked them; `_assignment`
+# keeps its column order and tie rule, so CLI outputs do not move.
+TIE_PICKS = {
+    "collinear": (7, 6, 5, 4, 1, 0, 2, 3),
+    "double-disphenoid": (6, 7, 5, 4, 3, 2, 1, 0),
+    "disphenoid": (2, 3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("shape, argmax", TIE_PICKS.items())
+def test_size_v_tie_picks(shape, argmax):
+    centers = np.array(DISPHENOID_CENTERS) if shape == "disphenoid" else SHAPES[shape]
+    assert size_v(validate_configuration(centers)).argmax == argmax
+
+
+def test_assignment_n100_under_a_tenth_of_a_second():
+    d = distance_matrix(random_configuration(100, seed=100))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _assignment(d)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.1
 
 
 @pytest.mark.parametrize("n", range(2, 9))

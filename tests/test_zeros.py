@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from resonance_sizer import (
     ContourThroughZero,
+    NumericalError,
     Rectangle,
     ValidationError,
     count_zeros_disk,
@@ -16,6 +19,7 @@ from resonance_sizer import (
     validate_configuration,
     zero_frequency_polynomial,
 )
+from resonance_sizer.errors import EvaluationOverflow
 from resonance_sizer.zeros import count_zeros_rect, newton_polish
 from tests.conftest import (
     EDGE_ZEROS,
@@ -220,9 +224,34 @@ def test_overflow_on_contour_names_the_circle():
             e = np.exp(1000 * np.asarray(z, dtype=complex))
             return e, 1000 * e
 
-    # f overflows on part of the circle and has no zero for Newton to find
-    with pytest.raises(ContourThroughZero, match=r"overflowed on \|z - 0.0\| = 1.0 and"):
+    # f overflows on part of the circle: an overflow, not a zero on it
+    with pytest.raises(EvaluationOverflow, match=r"nodes on \|z - 0.0\| = 1.0: ") as caught:
         count_zeros_disk(fdf, 1.0)
+    assert not isinstance(caught.value, ContourThroughZero)
+
+
+def test_vanishing_sample_without_zero_is_contour_through_zero():
+    def fdf(z):
+        z = np.asarray(z, dtype=complex)
+        # f drops to 1e-20 on the node z = 1 only; f' = 0 leaves Newton nothing
+        return np.where(z == 1.0, 1e-20, 1.0), np.zeros_like(z)
+
+    with pytest.raises(ContourThroughZero, match=r"vanished on \|z - 0.0\| = 1.0 and Newton"):
+        count_zeros_disk(fdf, 1.0)
+
+
+def test_overflow_past_headroom_is_reported_as_overflow():
+    # b_nu = 4.94, so b_nu * R = 790 at R = 160: past log(DBL_MAX) = 709.78
+    cfg = random_configuration(6, np.random.default_rng(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflow) as caught:
+            counting_function(np.zeros(6), cfg, [160.0])
+    message = str(caught.value)
+    assert isinstance(caught.value, NumericalError)
+    assert not isinstance(caught.value, ContourThroughZero)
+    assert "|z - 0.0| = 160.0" in message
+    assert "4.93931 * 160 = 790.3" in message and "log(DBL_MAX) = 709.78" in message
 
 
 def test_disk_mirror_pair_hugging_circle():
