@@ -1,29 +1,35 @@
 """Winding-number quadrature on one contour, and the zeros that hug it.
 
-The contour is a Circle or a zeros.Rectangle; the zeros module docstring
-describes the method.  winding() takes one winding number or raises Hugged
-with the zeros it located; moved_counts() counts on contours moved clear of
-them, and closed_count() attributes them to the closed region.
+A contour is a Circle or a Rectangle.  Each shape lays out its trapezoid
+nodes level by level (node_levels): the nodes a level adds, their weights
+dz / (2 pi i), the level's node spacing, and as many levels as the shape's
+budget allows.  One driver (levels) sums f'/f against those weights for
+both shapes; the zeros module docstring describes the method.  winding()
+takes one winding number or raises Hugged with the zeros it located;
+moved_counts() counts on contours moved clear of them, and closed_count()
+attributes them to the closed region.
 """
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourThroughZero, EvaluationOverflow, QuadratureDivergence
+from .errors import ContourThroughZero, EvaluationOverflow, QuadratureDivergence, ValidationError
 
 # Contour samples with |f| below this fraction of the median stop the count.
 _CONTOUR_GUARD = 1e-12
-# Hard budget of quadrature points per disk contour.
+# Node budget of a circle: its last level has at most this many nodes.
 _MAX_POINTS = 1 << 22
-# Disk contour nodes evaluated per call, so only |f| is held for a level.
+# Contour nodes per fdf call.  This bounds only the per-call temporaries
+# (the evaluation kernel's blocks, f, f' and f'/f); Nodes keeps t, z and the
+# Newton step of every node, and |f| is kept for the median guard.
 _CHUNK = 1 << 11
-# Doubling budget per rectangle contour.
-_RECT_DOUBLINGS = 12
+# Level budget of a rectangle.
+_RECT_LEVELS = 12
 # A located zero closer to a contour than this fraction of the current node
 # spacing hugs it: doubling until the spacing resolves it would cost about
 # log2(spacing / distance) more levels, while a zero a quarter spacing away
@@ -48,6 +54,13 @@ class Circle:
     center: complex
     radius: float
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise ValidationError(f"a circle needs a finite center and radius > 0: {self!r}")
+
+    def size(self) -> float:
+        return self.radius
+
     def padded(self, delta: float) -> "Circle | None":
         r = self.radius + delta
         return Circle(self.center, r) if r > 0 else None
@@ -55,15 +68,131 @@ class Circle:
     def signed_distance(self, z: complex) -> float:
         return abs(z - self.center) - self.radius
 
+    def node_levels(self, freq_scale: float):
+        """Yield (t, z, w, spacing) per level: the nodes the level adds, with
+        parameter t = k / n, position z = center + r e^{2 pi i t} and weight
+        dz / (2 pi i) = r e^{2 pi i t} / n, and the level's node spacing.
+
+        n starts at 8 r freq_scale (at least 256) and doubles while
+        n <= _MAX_POINTS.  The nodes 2 pi k / n of one level are
+        bit-identical to the even nodes 2 pi (2k) / (2n) of the next, so
+        each later level adds only its odd k.
+        """
+        r = self.radius
+        n = max(256, math.ceil(8 * r * freq_scale))
+        start, step = 0, 1
+        while n <= _MAX_POINTS:
+            k = np.arange(start, n, step)
+            unit = np.exp(1j * (2 * np.pi * k / n))
+            yield k / n, self.center + r * unit, r * unit / n, 2 * np.pi * r / n
+            start, step, n = 1, 2, 2 * n
+
     def __str__(self) -> str:
         return f"|z - {self.center}| = {self.radius!r}"
 
 
-def size(contour) -> float:
-    """Radius of a Circle, diagonal of a rectangle."""
-    if isinstance(contour, Circle):
-        return contour.radius
-    return math.hypot(contour.width, contour.height)
+def _edge_panels(length: float, freq_scale: float) -> int:
+    """Initial trapezoid panels on a rectangle edge of this length."""
+    return max(64, math.ceil(8 * freq_scale * length))
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """Axis-aligned closed rectangle in the complex plane."""
+
+    re_min: float
+    re_max: float
+    im_min: float
+    im_max: float
+
+    def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(x) for x in bounds):
+            raise ValidationError(f"rectangle bounds must be finite: {self}")
+        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValidationError(f"degenerate rectangle: {self}")
+
+    @property
+    def width(self) -> float:
+        return self.re_max - self.re_min
+
+    @property
+    def height(self) -> float:
+        return self.im_max - self.im_min
+
+    @property
+    def center(self) -> complex:
+        return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
+
+    @property
+    def corners(self) -> tuple[complex, complex, complex, complex]:
+        return (
+            complex(self.re_min, self.im_min),
+            complex(self.re_max, self.im_min),
+            complex(self.re_max, self.im_max),
+            complex(self.re_min, self.im_max),
+        )
+
+    def size(self) -> float:
+        """The diagonal."""
+        return math.hypot(self.width, self.height)
+
+    def contains(self, z: complex, pad: float = 0.0) -> bool:
+        return (
+            self.re_min - pad <= z.real <= self.re_max + pad
+            and self.im_min - pad <= z.imag <= self.im_max + pad
+        )
+
+    def padded(self, delta: float) -> "Rectangle | None":
+        """Every edge moved outward by delta (inward for delta < 0); None
+        when nothing is left."""
+        if 2 * delta <= -min(self.width, self.height):
+            return None
+        return Rectangle(
+            self.re_min - delta, self.re_max + delta, self.im_min - delta, self.im_max + delta
+        )
+
+    def signed_distance(self, z: complex) -> float:
+        """Distance from z to the boundary, negative inside."""
+        dx = max(self.re_min - z.real, z.real - self.re_max)
+        dy = max(self.im_min - z.imag, z.imag - self.im_max)
+        if dx <= 0 and dy <= 0:
+            return max(dx, dy)
+        return math.hypot(max(dx, 0.0), max(dy, 0.0))
+
+    def spacing(self, freq_scale: float) -> float:
+        """Node spacing of the first level: the widest panel of any edge."""
+        return max(side / _edge_panels(side, freq_scale) for side in (self.width, self.height))
+
+    def node_levels(self, freq_scale: float):
+        """Yield (t, z, w, spacing) per level, for _RECT_LEVELS levels: the
+        nodes the level adds, with parameter t, position z and weight
+        dz / (2 pi i), and the level's node spacing.
+
+        Edge e runs from corner e to corner e + 1 in n_e = _edge_panels
+        panels of width h_e (complex), and every level doubles each n_e
+        exactly.  Its nodes are corner_e + edge_e * k / n_e for k < n_e,
+        with t = e + k / n_e, so each later level adds only the odd k.  A
+        node inside edge e weighs h_e / (2 pi i).  Corner e ends edge e - 1
+        and starts edge e, so it weighs (h_e + h_{e-1}) / 2 / (2 pi i).
+        """
+        corners = self.corners
+        sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
+        counts = [_edge_panels(abs(s), freq_scale) for s in sides]
+        spacing = self.spacing(freq_scale)
+        start, step = 0, 1
+        for _ in range(_RECT_LEVELS):
+            ks = [np.arange(start, n, step) for n in counts]
+            t = np.concatenate([e + k / n for e, (k, n) in enumerate(zip(ks, counts))])
+            z = np.concatenate([a + s * (k / n) for a, s, k, n in zip(corners, sides, ks, counts)])
+            h = [s / n for s, n in zip(sides, counts)]
+            w = np.repeat(h, [len(k) for k in ks])
+            if start == 0:
+                first = np.cumsum([0] + counts[:-1])
+                w[first] = [(h[e] + h[e - 1]) / 2 for e in range(4)]
+            yield t, z, w / (2j * np.pi), spacing
+            start, step, spacing = 1, 2, spacing / 2
+            counts = [2 * n for n in counts]
 
 
 class Nodes:
@@ -146,16 +275,16 @@ def locate(fdf, nodes: Nodes, contour, reach: float) -> list[complex]:
 def settle(fdf, levels, nodes: Nodes, contour, residual_tol: float):
     """Refine a contour until its winding number settles.
 
-    levels yields (points, raw winding number) per refinement, raw None
-    once a sample of f vanished or the sum overflowed, and records its
-    nodes in nodes.  Returns (count, residual) as soon as the rounded count
+    levels yields the raw winding number per refinement, None once a
+    sample of f vanished or the sum overflowed, and records its nodes in
+    nodes.  Returns (count, residual) as soon as the rounded count
     repeats with a residual <= residual_tol.  Raises Hugged for a raw None,
     and for zeros located within _HUG node spacings of the contour after a
     level that did not settle or that settled with a node whose Newton step
     is that short; QuadratureDivergence when the levels run out.
     """
     previous = None
-    for _, raw in levels:
+    for raw in levels:
         reach = _HUG * nodes.spacing[-1]
         if raw is None:
             raise Hugged(locate(fdf, nodes, contour, reach), nodes)
@@ -202,112 +331,45 @@ def _guard_trips(absf: np.ndarray) -> bool:
     return bool(absf.min() < _CONTOUR_GUARD * np.median(absf))
 
 
-def disk_levels(fdf, circle: Circle, n: int, freq_scale: float, nodes: Nodes):
-    """Yield (n, raw winding number) for n, 2n, 4n, ... <= _MAX_POINTS nodes
-    on the circle |z - center| = r.
+def levels(fdf, contour, freq_scale: float, nodes: Nodes):
+    """Yield the raw winding number of contour, one per level of
+    contour.node_levels(freq_scale).
 
-    The nodes 2 pi k / n of one level are bit-identical to the even nodes
-    2 pi (2k) / (2n) of the next, so each level evaluates only its odd
-    nodes, _CHUNK at a time, and adds them to a running integrand sum; |f|
-    is kept for every node, for the median guard, and every node goes into
-    nodes.  Yields None for the raw value when a sample of f vanishes
-    against the median or the sum is not finite, and then stops.
+    Every level doubles the nodes of the one before, so every earlier
+    weight halves: the running sum of f'/f times the weights halves, and
+    the level's new nodes are added to it, evaluated _CHUNK at a time.
+    Every node goes into nodes, and |f| is kept for every node, for the
+    median guard.  Yields None when a sample of f vanishes against the
+    median or the sum is not finite, and then stops.
     """
-    center, r = circle.center, circle.radius
-    total = 0.0 + 0.0j
+    total = 0j
     absf = np.empty(0)
-    start, step = 0, 1
-    while n <= _MAX_POINTS:
-        parts = [absf]
-        for lo in range(start, n, step * _CHUNK):
-            k = np.arange(lo, min(n, lo + step * _CHUNK), step)
-            unit = np.exp(1j * (2 * np.pi * k / n))
-            z = center + r * unit
-            fv, dfv = _contour_values(fdf, z, circle, freq_scale)
+    for t, z, w, spacing in contour.node_levels(freq_scale):
+        parts, added = [absf], 0j
+        for lo in range(0, len(z), _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            fv, dfv = _contour_values(fdf, z[chunk], contour, freq_scale)
             parts.append(np.abs(fv))
             with np.errstate(all="ignore"):
                 g = dfv / fv
-                total += complex(np.sum(g * unit)) * r
-                nodes.add(k / n, z, g)
-        nodes.spacing.append(2 * np.pi * r / n)
+                added += complex(np.sum(g * w[chunk]))
+                nodes.add(t[chunk], z[chunk], g)
+        nodes.spacing.append(spacing)
         absf = np.concatenate(parts)
-        if _guard_trips(absf):
-            yield n, None
+        total = total / 2 + added
+        if _guard_trips(absf) or not cmath.isfinite(total):
+            yield None
             return
-        raw = total / n
-        if not np.isfinite(raw):
-            yield n, None
-            return
-        yield n, raw
-        start, step, n = 1, 2, 2 * n
-
-
-def edge_panels(length: float, freq_scale: float) -> int:
-    """Initial trapezoid panels on a rectangle edge of this length."""
-    return max(64, int(math.ceil(8 * freq_scale * length)))
-
-
-def rect_levels(fdf, rect, freq_scale: float, nodes: Nodes):
-    """Yield (nodes, raw winding number) on the boundary of rect, level by level.
-
-    Edge e starts with n_e = edge_panels(length) panels and every level
-    doubles each n_e exactly.  Edge nodes are a + (b - a) * k / n_e for
-    k < n_e (the end corner is the next edge's first node), so each node is
-    evaluated once and later levels evaluate only the odd k of the doubled
-    grid, all four edges in one call; every node goes into nodes, with
-    parameter e + k / n_e.  The trapezoid sum per edge is
-    h_e * (sum over its nodes - g(a) / 2 + g(b) / 2).  Yields None for the
-    raw value when a sample of f vanishes against the median or the sum is
-    not finite, and then stops.
-    """
-    corners = rect.corners
-    sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
-    counts = [edge_panels(abs(s), freq_scale) for s in sides]
-    sums = [0j] * 4
-    corner_g = None
-    absf = np.empty(0)
-    start, step = 0, 1
-    while True:
-        ks = [np.arange(start, n, step) for n in counts]
-        z = np.concatenate([a + s * (k / n) for a, s, k, n in zip(corners, sides, ks, counts)])
-        fv, dfv = _contour_values(fdf, z, rect, freq_scale)
-        with np.errstate(all="ignore"):
-            g = dfv / fv
-            t = np.concatenate([e + k / n for e, (k, n) in enumerate(zip(ks, counts))])
-            nodes.add(t, z, g)
-        nodes.spacing.append(max(abs(s) / n for s, n in zip(sides, counts)))
-        absf = np.concatenate([absf, np.abs(fv)])
-        if _guard_trips(absf):
-            yield len(absf), None
-            return
-        edges = np.split(g, np.cumsum([len(k) for k in ks[:-1]]))
-        if corner_g is None:
-            corner_g = [complex(e[0]) for e in edges]
-        sums = [total + complex(e.sum()) for total, e in zip(sums, edges)]
-        ends = corner_g[1:] + corner_g[:1]
-        raw = sum(
-            side / n * (total + (g_b - g_a) / 2)
-            for side, n, total, g_a, g_b in zip(sides, counts, sums, corner_g, ends)
-        ) / (2j * np.pi)
-        if not np.isfinite(raw):
-            yield len(absf), None
-            return
-        yield len(absf), raw
-        start, step = 1, 2
-        counts = [2 * n for n in counts]
+        yield total
 
 
 def winding(fdf, contour, freq_scale: float, residual_tol: float):
-    """(count, residual, nodes) for the zeros inside contour, a Circle or a
-    zeros.Rectangle; raises Hugged when zeros hug it (see settle)."""
+    """(count, residual, nodes) for the zeros inside contour; raises Hugged
+    when zeros hug it (see settle)."""
     nodes = Nodes()
-    if isinstance(contour, Circle):
-        n0 = max(256, int(math.ceil(8 * contour.radius * freq_scale)))
-        levels = disk_levels(fdf, contour, n0, freq_scale, nodes)
-    else:
-        levels = rect_levels(fdf, contour, freq_scale, nodes)
-        levels = itertools.islice(levels, _RECT_DOUBLINGS)
-    count, residual = settle(fdf, levels, nodes, contour, residual_tol)
+    count, residual = settle(
+        fdf, levels(fdf, contour, freq_scale, nodes), nodes, contour, residual_tol
+    )
     return count, residual, nodes
 
 
@@ -384,9 +446,8 @@ def multiplicities(fdf, band, h: float, freq_scale: float, residual_tol: float):
 
 
 def closed_count(fdf, contour, freq_scale: float, residual_tol: float):
-    """Zeros in the closed region bounded by contour (a Circle or a
-    zeros.Rectangle), with multiplicity.  Returns (count, residual, points,
-    the contour the count rests on)."""
+    """Zeros in the closed region bounded by contour, with multiplicity.
+    Returns (count, residual, points, the contour the count rests on)."""
     try:
         n, residual, nodes = winding(fdf, contour, freq_scale, residual_tol)
         return n, residual, nodes.points, contour
@@ -417,6 +478,6 @@ def closed_count(fdf, contour, freq_scale: float, residual_tol: float):
             f"but Newton located {fmt(band)} with multiplicities {mult}",
             where=contour,
         )
-    pad = ON_BOUNDARY * size(contour)
+    pad = ON_BOUNDARY * contour.size()
     n = n_in + sum(m for w, m in zip(band, mult) if contour.signed_distance(w) <= pad)
     return n, residual, points, outer

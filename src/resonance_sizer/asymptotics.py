@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints, TooLarge, ValidationError
+from .errors import TooFewCenters, TooFewPoints, TooLarge, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
 from .permutations import MAX_ENUM_N
@@ -195,10 +195,15 @@ def genericity_scan(
     that is generic, the fraction classified Weyl, the distribution of the
     genericity gap, and any trial whose expansion had a frequency group
     within near_factor * cancel_tol of cancelling.  `trials` and `seed`
-    must be nonnegative.
+    must be nonnegative, and 2 <= n <= MAX_ENUM_N (the expansion's cap),
+    whatever the number of trials.
     """
     if trials < 0 or seed < 0:
         raise ValidationError(f"trials and seed must be >= 0, got trials={trials}, seed={seed}")
+    if n < 2:
+        raise TooFewCenters(f"need at least 2 centers, got {n}")
+    if n > MAX_ENUM_N:
+        raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {n}")
     if strengths is None:
         strengths = np.zeros(n, dtype=complex)
     a = strength_values(strengths, n)

@@ -31,9 +31,14 @@ children hug is moved off the located zeros.  Singleton boxes are polished
 by Newton iteration and unresolved multi-zero boxes at maximum depth are
 reported as clusters with their total multiplicity.
 
-The quadrature on one contour, the search for hugging zeros and the moved
-contours live in _contours; this module holds the public API and the
-quadrisection.
+Inputs the quadrature cannot use raise ValidationError: a circle or a
+rectangle that is not finite (or a radius <= 0), a freq_scale that is not
+finite or is < 0, a residual_tol outside (0, 0.5), and a max_depth < 0.
+
+The contour shapes (Circle, and Rectangle, which this module re-exports),
+the one quadrature driver that serves both, the search for hugging zeros
+and the moved contours live in _contours; this module holds the public
+API, its input checks and the quadrisection.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _contours
+from ._contours import Rectangle
 from .errors import QuadratureDivergence, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration
@@ -54,64 +60,6 @@ DEFAULT_RESIDUAL_TOL = 1e-3
 # Newton polishing limits.
 _NEWTON_MAX_ITER = 50
 _NEWTON_STEP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned closed rectangle in the complex plane."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValidationError(f"degenerate rectangle: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.re_max - self.re_min
-
-    @property
-    def height(self) -> float:
-        return self.im_max - self.im_min
-
-    @property
-    def center(self) -> complex:
-        return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
-
-    @property
-    def corners(self) -> tuple[complex, complex, complex, complex]:
-        return (
-            complex(self.re_min, self.im_min),
-            complex(self.re_max, self.im_min),
-            complex(self.re_max, self.im_max),
-            complex(self.re_min, self.im_max),
-        )
-
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
-        return (
-            self.re_min - pad <= z.real <= self.re_max + pad
-            and self.im_min - pad <= z.imag <= self.im_max + pad
-        )
-
-    def padded(self, delta: float) -> "Rectangle | None":
-        """Every edge moved outward by delta (inward for delta < 0); None
-        when nothing is left."""
-        if 2 * delta <= -min(self.width, self.height):
-            return None
-        return Rectangle(
-            self.re_min - delta, self.re_max + delta, self.im_min - delta, self.im_max + delta
-        )
-
-    def signed_distance(self, z: complex) -> float:
-        """Distance from z to the boundary, negative inside."""
-        dx = max(self.re_min - z.real, z.real - self.re_max)
-        dy = max(self.im_min - z.imag, z.imag - self.im_max)
-        if dx <= 0 and dy <= 0:
-            return max(dx, dy)
-        return math.hypot(max(dx, 0.0), max(dy, 0.0))
 
 
 @dataclass(frozen=True)
@@ -140,6 +88,16 @@ class Resonance:
     is_cluster: bool = False
 
 
+def _check_quadrature(freq_scale: float, residual_tol: float) -> None:
+    """Reject what the quadrature cannot use: a node count must come from a
+    finite freq_scale >= 0, and only a residual_tol in (0, 0.5) both can be
+    met and still pins the count to one integer."""
+    if not (0 <= freq_scale < math.inf):
+        raise ValidationError(f"freq_scale must be finite and >= 0, got {freq_scale}")
+    if not (0 < residual_tol < 0.5):
+        raise ValidationError(f"residual_tol must lie in (0, 0.5), got {residual_tol}")
+
+
 def count_zeros_disk(
     fdf,
     radius: float,
@@ -156,8 +114,7 @@ def count_zeros_disk(
     hug the circle are located and attributed by where they lie (see the
     module docstring); contour_radius is then the outer moved radius.
     """
-    if not (radius > 0):
-        raise ValidationError(f"radius must be positive, got {radius}")
+    _check_quadrature(freq_scale, residual_tol)
     count, residual, points, contour = _contours.closed_count(
         fdf, _contours.Circle(center, radius), freq_scale, residual_tol
     )
@@ -175,6 +132,7 @@ def count_zeros_rect(
     Zeros that hug the boundary are located and attributed by where they
     lie (see the module docstring).
     """
+    _check_quadrature(freq_scale, residual_tol)
     return _contours.closed_count(fdf, rect, freq_scale, residual_tol)[0]
 
 
@@ -199,7 +157,7 @@ def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
 
 
 def _newton_in_box(fdf, box: Rectangle):
-    diag = math.hypot(box.width, box.height)
+    diag = box.size()
     for z0 in (box.center,) + box.corners:
         z, ok = newton_polish(fdf, z0)
         if ok and box.contains(z, pad=1e-9 * diag):
@@ -209,7 +167,7 @@ def _newton_in_box(fdf, box: Rectangle):
 
 def _newton_common_point(fdf, box: Rectangle):
     """Common Newton limit from the box corners and center, if any."""
-    diag = math.hypot(box.width, box.height)
+    diag = box.size()
     points = []
     for z0 in (box.center,) + box.corners:
         z, ok = newton_polish(fdf, z0)
@@ -250,9 +208,8 @@ def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol:
     does not settle, or counts that do not add up move the lines one grid
     step further.
     """
-    h = max(
-        side / _contours.edge_panels(side, freq_scale) for side in (box.width / 2, box.height / 2)
-    )
+    # a child's spacing before the split lines move: a quarter of box
+    h = Rectangle(0.0, box.width / 2, 0.0, box.height / 2).spacing(freq_scale)
     zeros, skip = [], 0
     for _ in range(_contours.MAX_MOVES):
         xm = _split_line(box.re_min, box.re_max, [w.real for w in zeros], h, skip)
@@ -304,6 +261,9 @@ def find_resonances(
     what lies in the closed region.  Total multiplicity always equals the
     closed-region count.
     """
+    _check_quadrature(freq_scale, residual_tol)
+    if max_depth < 0:
+        raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
     try:
         count = _contours.winding(fdf, region, freq_scale, residual_tol)[0]
         root = region
@@ -336,7 +296,7 @@ def find_resonances(
         for child, cc in _split_box(fdf, box, c, freq_scale, residual_tol):
             stack.append((child, cc, depth + 1))
     if root is not region:
-        pad = _contours.ON_BOUNDARY * _contours.size(region)
+        pad = _contours.ON_BOUNDARY * region.size()
         out = [r for r in out if region.signed_distance(r.location) <= pad]
     out.sort(key=lambda r: (r.location.real, r.location.imag))
     return out

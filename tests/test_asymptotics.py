@@ -172,6 +172,18 @@ def test_scan_empty():
     assert s.near_cancellation_trials == ()
 
 
+@pytest.mark.parametrize("n", [1, 11])
+@pytest.mark.parametrize("trials", [0, 1])
+def test_scan_rejects_n_outside_expansion_range(n, trials):
+    with pytest.raises(ValidationError, match=f"got {n}$"):
+        genericity_scan(n, trials, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_scan_accepts_n_at_the_bounds(n):
+    assert genericity_scan(n, 0, seed=0).n == n
+
+
 def test_scan_different_seeds_differ():
     s1 = genericity_scan(3, 10, seed=1)
     s2 = genericity_scan(3, 10, seed=2)

@@ -380,6 +380,16 @@ def test_scan_rejects_oversized(capsys):
 
 
 @pytest.mark.parametrize(
+    "n, error", [("1", "need at least 2 centers"), ("11", "capped at N <= 10")]
+)
+def test_scan_rejects_impossible_n_without_trials(capsys, n, error):
+    rc, out, err = run(capsys, "scan", "--n", n, "--trials", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and error in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--n", "5", "--trials", "-3"], ["--n", "3", "--trials", "2", "--seed", "-1"]],
     ids=["negative-trials", "negative-seed"],

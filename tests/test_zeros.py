@@ -19,6 +19,7 @@ from resonance_sizer import (
     validate_configuration,
     zero_frequency_polynomial,
 )
+from resonance_sizer._contours import Circle
 from resonance_sizer.errors import EvaluationOverflow
 from resonance_sizer.zeros import count_zeros_rect, newton_polish
 from tests.conftest import (
@@ -157,6 +158,77 @@ def test_rectangle_validation():
         count_zeros_disk(quad, -1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+# Quadrature inputs every entry point rejects: a node count needs a finite
+# freq_scale >= 0, and residual_tol must lie in (0, 0.5).
+BAD_QUADRATURE = [
+    {"freq_scale": NAN},
+    {"freq_scale": INF},
+    {"freq_scale": -1.0},
+    {"residual_tol": 0.0},
+    {"residual_tol": 0.5},
+    {"residual_tol": NAN},
+]
+
+
+def kwargs_id(kwargs) -> str:
+    return ",".join(f"{k}={v}" for k, v in kwargs.items())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"radius": INF}, {"radius": NAN}, {"radius": 0.0}, {"center": complex("nan")}]
+    + BAD_QUADRATURE,
+    ids=kwargs_id,
+)
+def test_count_zeros_disk_rejects(kwargs):
+    with pytest.raises(ValidationError):
+        count_zeros_disk(quad, **{"radius": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "bounds, kwargs",
+    [((0, INF, -5, 0), {}), ((NAN, 1, -1, 1), {}), ((0, 1, -INF, 0), {})]
+    + [((-1, 1, -1, 1), kw) for kw in BAD_QUADRATURE],
+    ids=lambda x: kwargs_id(x) if isinstance(x, dict) else ",".join(map(str, x)),
+)
+def test_count_zeros_rect_rejects(bounds, kwargs):
+    with pytest.raises(ValidationError):
+        count_zeros_rect(quad, Rectangle(*bounds), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_depth": -1}] + BAD_QUADRATURE, ids=kwargs_id)
+def test_find_resonances_rejects(kwargs):
+    with pytest.raises(ValidationError):
+        find_resonances(quad, Rectangle(-1, 1, -1, 1), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "shape, inside, outside",
+    [
+        (Circle(0.3 + 0.2j, 2.0), 0.8 + 0.2j, 3.0 - 2.0j),
+        # long edges get 320 panels and short ones 64, so each corner joins
+        # panels of different widths
+        (Rectangle(0, 40, -0.05, 0.05), 20.0, -5.0),
+    ],
+    ids=["circle", "thin-rectangle"],
+)
+def test_node_weights_integrate(shape, inside, outside):
+    """The weights w = dz / (2 pi i) of all nodes so far, with each earlier
+    level's halved per level, give sum w = 0, sum w / (z - a) = 1 for a
+    inside and 0 for a outside.  Trapezoid error: a pole at distance d from
+    an edge of node spacing h adds about e^{-2 pi d / h} per edge, and the
+    corners add O(h^2) (Euler-Maclaurin)."""
+    z_all = w_all = np.empty(0, dtype=complex)
+    for _, (_, z, w, h) in zip(range(4), shape.node_levels(1.0)):
+        z_all, w_all = np.concatenate([z_all, z]), np.concatenate([w_all / 2, w])
+        assert abs(w_all.sum()) <= 1e-14 * shape.size()
+        for a, expected in ((inside, 1.0), (outside, 0.0)):
+            d = abs(shape.signed_distance(a))
+            tol = 3 * np.exp(-2 * np.pi * d / h) + 1e-4 * h**2 + 1e-14
+            assert abs(np.sum(w_all / (z_all - a)) - expected) <= tol
+
+
 class Spy:
     """fdf wrapper that records every point it is asked for."""
 
@@ -287,7 +359,8 @@ def test_rect_evaluates_each_edge_node_once():
     assert count_zeros_rect(spy, rect) == 2
     points = spy.points
     assert len(np.unique(points)) == len(points)
-    # one call per level, each doubling every edge's node count exactly
+    # one call per level (every level here is below _contours._CHUNK nodes),
+    # each doubling every edge's node count exactly
     c = rect.corners
     edges = list(zip(c, c[1:] + c[:1]))
     first = [max(64, int(np.ceil(8 * abs(b - a)))) for a, b in edges]
