@@ -76,7 +76,9 @@ class ScanSummary:
 
 def fit_slope(radii, counts, skip: int = 0) -> tuple[float, float]:
     """Ordinary least squares of counts against radii, dropping the first
-    `skip` transient points."""
+    `skip` transient points (skip >= 0)."""
+    if skip < 0:
+        raise ValidationError(f"skip must be >= 0, got {skip}")
     r = np.asarray(radii, dtype=float)[skip:]
     c = np.asarray(counts, dtype=float)[skip:]
     if len(r) < 3:

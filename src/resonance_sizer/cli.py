@@ -134,6 +134,8 @@ def load_run_config(path: str) -> RunConfig:
         r_min, r_max, steps = _finite_fields(
             raw["counting"], ("r_min", "r_max", "steps"), "counting grid"
         )
+        if not steps.is_integer():
+            raise ValidationError(f"counting grid steps must be a whole number, got {steps!r}")
         steps = int(steps)
         if not 1 <= steps <= _MAX_STEPS or r_min <= 0 or (steps > 1 and r_max <= r_min):
             raise ValidationError(

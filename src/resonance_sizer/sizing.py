@@ -6,9 +6,9 @@ assignment on the distance matrix.  `_assignment` solves it by shortest
 augmenting paths with potentials (the Jonker-Volgenant form of the
 Hungarian method) in plain Python and returns the assignment duals with
 it, so numpy is the only dependency.  A configuration is generic when the
-class representatives of non-equivalent permutations attain pairwise
-distinct V values; generic configurations always have Weyl-type counting
-asymptotics.
+representatives of the edge-equivalence classes (`permutations` holds the
+class rule) have pairwise distinct V; generic configurations always have
+Weyl-type counting asymptotics.
 
 The top frequency of the determinant expansion can often be had without
 the expansion.  Given the maximizer sigma, every permutation pi = sigma o tau
@@ -18,12 +18,11 @@ because sigma is optimal.  Shortest paths D in that graph (Floyd-Warshall)
 give the least deficit of a permutation with the bond j -> sigma(j') as
 w[j, j'] + D[j', j].  A permutation outside sigma's edge-equivalence class
 has a bond outside sigma and its inverse, unless sigma has an even cycle of
-length >= 4 (the cycle then splits into two transposition products, which
-tie with it); the least deficit over those bonds is the class margin.  When
-the margin clears the expansion's frequency clustering, the top cluster of
-`expand` is exactly sigma's class: sigma with any subset of its cycles of
-length >= 3 inverted, all of one sign, bond weight and fixed-point set, so
-the cluster cannot cancel (`certify_top_class`).
+length >= 4 (`permutations._has_even_cycle`); the least deficit over those
+bonds is the class margin.  When the margin clears the expansion's
+frequency clustering, the top cluster of `expand` is exactly sigma's class
+(`permutations._class_members`), all of one sign, bond weight and
+fixed-point set, so the cluster cannot cancel (`certify_top_class`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ import numpy as np
 
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
 from .geometry import Configuration, distance_matrix, validate_configuration
-from .permutations import ClassRepresentatives, enumerate_classes
+from .permutations import ClassRepresentatives, _class_members, _cycles, _has_even_cycle
+from .permutations import enumerate_classes
 
 # Relative tolerance for genericity gaps: two class representatives whose V
 # values differ by at most gap_tol * max(1, V) count as tied.  It protects
@@ -50,6 +50,8 @@ DEFAULT_GAP_TOL = 1e-9
 # the rounding of the margin's shortest paths (sums of up to N exchange
 # weights) and of the expansion's V values (sums of N distances).
 _MARGIN_SLACK = 64
+# Representatives per `representative_values` block (a few MB of temporaries).
+_VALUE_BLOCK = 1 << 15
 # Most cycles of length >= 3 `certify_top_class` lists a class for (2^12
 # members); at N <= 10 a maximizer has at most 3.
 _MAX_LONG_CYCLES = 12
@@ -175,22 +177,6 @@ def size_v(config: Configuration) -> SizeReport:
     return SizeReport(v, tuple(image.tolist()))
 
 
-def _cycles(image: np.ndarray) -> list[list[int]]:
-    """Cycles of a permutation, each listed along the permutation."""
-    seen = np.zeros(len(image), dtype=bool)
-    cycles = []
-    for start in range(len(image)):
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = int(image[j])
-        if cycle:
-            cycles.append(cycle)
-    return cycles
-
-
 def class_margin(d: np.ndarray, image: np.ndarray) -> float:
     """Least V deficit of a permutation outside the edge-equivalence class
     of the maximizer `image` of distance matrix d (module docstring).
@@ -198,7 +184,7 @@ def class_margin(d: np.ndarray, image: np.ndarray) -> float:
     0 when `image` has an even cycle of length >= 4.  O(N^3) in numpy.
     """
     n = len(d)
-    if any(len(c) >= 4 and len(c) % 2 == 0 for c in _cycles(image)):
+    if _has_even_cycle(image):
         return 0.0
     ar = np.arange(n)
     w = d[ar, image][:, None] - d[:, image]
@@ -212,17 +198,6 @@ def class_margin(d: np.ndarray, image: np.ndarray) -> float:
     outside[ar, ar] = False
     outside[ar, inverse[inverse]] = False
     return float(deficits[outside].min(initial=np.inf))
-
-
-def _class_members(image: np.ndarray, long_cycles: list[list[int]]) -> np.ndarray:
-    """The permutations edge-equivalent to `image`, one per row: every
-    subset of its cycles of length >= 3 (`long_cycles`) inverted."""
-    members = np.tile(image, (1 << len(long_cycles), 1))
-    rows = np.arange(len(members))
-    for bit, cycle in enumerate(long_cycles):
-        inverted = rows[(rows >> bit) & 1 == 1]
-        members[np.ix_(inverted, cycle)] = np.roll(cycle, 1)
-    return members
 
 
 def certify_top_class(
@@ -244,30 +219,32 @@ def certify_top_class(
     `np.add.reduceat` with a leading zero, divided by the class size; so it
     is the same double as `expand`'s.  O(N^3), and N is not capped.
     """
-    config = validate_configuration(config)
     d = distance_matrix(config)
-    n = config.n
+    n = len(d)
     v, image, _, _ = _assignment(d)
     slack = _MARGIN_SLACK * n * np.finfo(float).eps
-    long_cycles = [c for c in _cycles(image) if len(c) >= 3]
+    n_long = sum(len(c) >= 3 for c in _cycles(image))
     threshold = np.inf
-    if freq_tol > slack and cancel_tol < 0.5 and len(long_cycles) <= _MAX_LONG_CYCLES:
+    if freq_tol > slack and cancel_tol < 0.5 and n_long <= _MAX_LONG_CYCLES:
         threshold = float((freq_tol + slack) * max(1.0, v))
     margin = class_margin(d, image)
     if not margin > threshold:
         return ClassCertificate(v, margin, threshold, None)
-    members = _class_members(image, long_cycles)
+    members = _class_members(image)
     values = np.sort(d[np.arange(n), members].sum(axis=1))
     b_nu = np.add.reduceat(np.insert(values, 0, 0.0), [0])[0] / len(values)
     return ClassCertificate(v, margin, threshold, float(b_nu))
 
 
 def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
-    """V of every edge-equivalence class representative."""
-    config = validate_configuration(config)
-    reps = enumerate_classes(config.n)
+    """V of every edge-equivalence class representative, summed one block
+    of representatives at a time (each row still summed alone)."""
     d = distance_matrix(config)
-    values = d[np.arange(config.n), reps.images].sum(axis=1)
+    reps = enumerate_classes(len(d))
+    values = np.empty(reps.n_classes)
+    for start in range(0, reps.n_classes, _VALUE_BLOCK):
+        rows = slice(start, start + _VALUE_BLOCK)
+        d[np.arange(len(d)), reps.images[rows]].sum(axis=1, out=values[rows])
     return reps, values
 
 
@@ -283,9 +260,6 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     order = np.argsort(values, kind="stable")
     gaps = np.diff(values[order])
     i = int(np.argmin(gaps))
-    witness = (
-        tuple(reps.images[order[i]].tolist()),
-        tuple(reps.images[order[i + 1]].tolist()),
-    )
+    witness = tuple(tuple(row) for row in reps.images[order[i : i + 2]].tolist())
     min_gap = float(gaps[i])
     return GenericityReport(min_gap > tol, min_gap, witness, tol)

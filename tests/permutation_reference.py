@@ -8,6 +8,8 @@ its undirected bond multigraph, edge-equivalence by multigraph equality,
 the class of a permutation built by inverting subsets of its cycles, and
 the bond length V_sigma.  `enumerate_classes` and the sweep's parity are
 checked against it, and `expoly_reference.leibniz_terms` is built on it.
+`classes_by_codes` enumerates the classes a second way, by multigraph
+codes over all of S_N.
 """
 
 from __future__ import annotations
@@ -142,3 +144,27 @@ def v_sigma(config: Configuration, sigma: Permutation) -> float:
         raise SizeMismatch(f"permutation on {sigma.n} items vs {config.n} centers")
     d = distance_matrix(config)
     return float(d[np.arange(d.shape[0]), np.asarray(sigma.image)].sum())
+
+
+def multigraph_codes(perms: np.ndarray) -> np.ndarray:
+    """Per-row sorted pair codes lo*N+hi; equal rows <=> edge-equivalent."""
+    n = perms.shape[1]
+    ar = np.arange(n)
+    lo = np.minimum(perms, ar)
+    hi = np.maximum(perms, ar)
+    return np.sort(lo * n + hi, axis=1)
+
+
+def classes_by_codes(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Edge-equivalence classes of S_N from the multigraph codes of all N!
+    permutations: the read-only int8 images of each class's first member in
+    lexicographic order (its smallest), sorted, and the class sizes."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    codes = multigraph_codes(perms.astype(np.int64)).astype(np.int8)
+    # first occurrence in lexicographic enumeration = lexicographically
+    # smallest class member
+    _, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+    order = np.lexsort(perms[first].T[::-1])
+    images = perms[first[order]]
+    images.setflags(write=False)
+    return images, tuple(counts[order].tolist())

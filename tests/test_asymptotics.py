@@ -43,6 +43,19 @@ def test_fit_slope_needs_points():
         fit_slope([1, 2, 3], [1, 2, 3], skip=1)
 
 
+def test_fit_slope_rejects_negative_skip():
+    radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(ValidationError, match="skip must be >= 0"):
+        fit_slope(radii, [2.0, 4.0, 6.0, 8.0, 10.0, 11.0], skip=-3)
+
+
+def test_classify_rejects_negative_skip():
+    cfg = validate_configuration([(0, 0, 0), (0, 0, 1.0)])
+    radii = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    with pytest.raises(ValidationError, match="skip must be >= 0"):
+        classify([0.0, 0.0], cfg, radii=radii, skip=-3)
+
+
 def test_pair_is_weyl_for_any_strengths():
     rng = np.random.default_rng(21)
     for _ in range(5):

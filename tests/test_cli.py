@@ -128,6 +128,24 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, overrides, command):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "count", "classify"])
+def test_fractional_steps_exit_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, counting={**GRID, "steps": 2.7})
+    rc, out, err = run(capsys, command, "--config", path)
+    assert (rc, out) == (2, "")
+    assert err == "error: counting grid steps must be a whole number, got 2.7\n"
+
+
+def test_integral_float_steps_accepted(tmp_path, capsys):
+    path = write_config(tmp_path, counting={**GRID, "steps": 3.0})
+    rc, out, _ = run(capsys, "count", "--config", path)
+    assert rc == 0
+    assert [row[0] for row in csv.reader(out.splitlines())] == ["R", "5.0", "12.5", "20.0"]
+    path = write_config(tmp_path, counting={**GRID, "steps": 1e6})
+    rc, out, _ = run(capsys, "validate", "--config", path)
+    assert rc == 0 and json.loads(out)["valid"] is True
+
+
 def test_main_calls_share_no_state(tmp_path, capsys):
     path = write_config(tmp_path, counting={"r_min": 5.0, "r_max": 20.0, "steps": 4})
     rc, out, _ = run(capsys, "classify", "--config", path, "--with-counts")

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from resonance_sizer import ValidationError, enumerate_classes
 from resonance_sizer._sweep import perm_blocks, term_arrays
 from resonance_sizer.errors import SizeMismatch, TooLarge
+from resonance_sizer.permutations import _class_members, _cycles, _has_even_cycle
 from tests.permutation_reference import (
     Permutation,
     class_mates,
+    classes_by_codes,
     cycle_decompose,
     edge_equivalent,
     edge_multigraph,
@@ -21,6 +23,18 @@ from tests.permutation_reference import (
 perms = st.integers(2, 7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda p: Permutation(tuple(p)))
 )
+perms_to_8 = st.integers(2, 8).flatmap(
+    lambda n: st.permutations(list(range(n))).map(lambda p: Permutation(tuple(p)))
+)
+
+
+@st.composite
+def two_long_cycles(draw):
+    """A permutation of 6 to 8 points that is two cycles of length >= 3."""
+    n = draw(st.integers(6, 8))
+    order = draw(st.permutations(list(range(n))))
+    cut = draw(st.integers(3, n - 3))
+    return Permutation.from_cycles(n, [order[:cut], order[cut:]])
 
 
 def rank_parity(ranks: np.ndarray, n: int) -> np.ndarray:
@@ -268,3 +282,30 @@ def test_enumerate_classes_bounds():
         enumerate_classes(11)
     with pytest.raises(ValidationError):
         enumerate_classes(1)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_enumerate_classes_matches_multigraph_codes(n):
+    classes = enumerate_classes(n)
+    images, sizes = classes_by_codes(n)
+    assert classes.images.dtype == np.int8 and not classes.images.flags.writeable
+    assert np.array_equal(classes.images, images)
+    assert classes.class_sizes == sizes
+
+
+@given(st.one_of(perms_to_8, two_long_cycles()))
+@settings(max_examples=150)
+def test_class_members_match_class_mates(sigma):
+    members = _class_members(np.array(sigma.image)).tolist()
+    assert tuple(members[0]) == sigma.image
+    assert sorted(map(tuple, members)) == [m.image for m in class_mates(sigma)]
+
+
+@given(perms_to_8)
+@settings(max_examples=150)
+def test_cycles_and_even_cycle_test_match_cycle_decompose(sigma):
+    decomposed = cycle_decompose(sigma)
+    assert [tuple(c) for c in _cycles(np.array(sigma.image))] == list(decomposed)
+    even = any(len(c) >= 4 and len(c) % 2 == 0 for c in decomposed)
+    assert _has_even_cycle(np.array(sigma.image)) == even
+

@@ -16,7 +16,7 @@ from resonance_sizer import (
 )
 from resonance_sizer.errors import SizeMismatch
 from resonance_sizer.geometry import scale_configuration
-from resonance_sizer.sizing import _assignment
+from resonance_sizer.sizing import _assignment, representative_values
 from tests.conftest import DISPHENOID_CENTERS, SHAPES, apply_rigid_motion, brute_size
 from tests.permutation_reference import (
     Permutation,
@@ -180,6 +180,17 @@ def test_witness_pair_rows_of_class_images(n):
     assert all(type(j) is int for j in a + b)
     gap = v_sigma(cfg, Permutation(b)) - v_sigma(cfg, Permutation(a))
     assert gap == pytest.approx(report.min_gap, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [8, 9])
+def test_representative_values_blockwise_bytes(n, seed):
+    # each representative is summed alone, so block-wise sums are the same
+    # doubles as one sum over all of them (N = 9 spans several blocks)
+    cfg = random_configuration(n, seed=seed)
+    reps, values = representative_values(cfg)
+    d = distance_matrix(cfg)
+    assert values.tobytes() == d[np.arange(n), reps.images].sum(axis=1).tobytes()
 
 
 def test_v_sigma_inverse_and_class_mates():
