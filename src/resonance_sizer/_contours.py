@@ -3,11 +3,12 @@
 A contour is a Circle or a Rectangle.  Each shape lays out its trapezoid
 nodes level by level (node_levels): the nodes a level adds, their weights
 dz / (2 pi i), the level's node spacing, and as many levels as the shape's
-budget allows.  One driver (levels) sums f'/f against those weights for
-both shapes; the zeros module docstring describes the method.  winding()
-takes one winding number or raises Hugged with the zeros it located;
-moved_counts() counts on contours moved clear of them, and closed_count()
-attributes them to the closed region.
+budget allows.  One refinement loop (winding) sums f'/f against those
+weights for both shapes, level by level, until the count settles within
+_RESIDUAL_TOL of an integer, or raises Hugged with the zeros it located;
+the zeros module docstring describes the method.  moved_counts() counts on
+contours moved clear of them, and closed_count() attributes them to the
+closed region.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import numpy as np
 
 from .errors import ContourThroughZero, EvaluationOverflow, QuadratureDivergence, ValidationError
 
+# Raw winding numbers must land this close to an integer: any value below
+# 0.5 pins the count to one integer, and this one also asks that the
+# trapezoid sum has converged.
+_RESIDUAL_TOL = 1e-3
 # Contour samples with |f| below this fraction of the median stop the count.
 _CONTOUR_GUARD = 1e-12
 # Node budget of a circle: its last level has at most this many nodes.
@@ -272,39 +277,6 @@ def locate(fdf, nodes: Nodes, contour, reach: float) -> list[complex]:
     return [w for w in nodes.known if abs(contour.signed_distance(w)) <= reach]
 
 
-def settle(fdf, levels, nodes: Nodes, contour, residual_tol: float):
-    """Refine a contour until its winding number settles.
-
-    levels yields the raw winding number per refinement, None once a
-    sample of f vanished or the sum overflowed, and records its nodes in
-    nodes.  Returns (count, residual) as soon as the rounded count
-    repeats with a residual <= residual_tol.  Raises Hugged for a raw None,
-    and for zeros located within _HUG node spacings of the contour after a
-    level that did not settle or that settled with a node whose Newton step
-    is that short; QuadratureDivergence when the levels run out.
-    """
-    previous = None
-    for raw in levels:
-        reach = _HUG * nodes.spacing[-1]
-        if raw is None:
-            raise Hugged(locate(fdf, nodes, contour, reach), nodes)
-        if previous is not None:
-            count = int(round(raw.real))
-            residual = abs(raw - count)
-            settled = count == int(round(previous.real)) and residual <= residual_tol
-            # A zero that close keeps a true sum far from an integer, so a
-            # settled sum next to one is half-windings that cancel.
-            near = min(float(s.min()) for s in nodes.step) <= reach + nodes.spacing[-1] / 2
-            if not settled or near:
-                hugging = locate(fdf, nodes, contour, reach)
-                if hugging:
-                    raise Hugged(hugging, nodes)
-            if settled:
-                return count, residual
-        previous = raw
-    raise QuadratureDivergence(f"winding number did not stabilize on {contour}", where=contour)
-
-
 def _contour_values(fdf, z: np.ndarray, contour, freq_scale: float):
     """f and f' on the nodes z of contour, as complex arrays.
 
@@ -331,18 +303,23 @@ def _guard_trips(absf: np.ndarray) -> bool:
     return bool(absf.min() < _CONTOUR_GUARD * np.median(absf))
 
 
-def levels(fdf, contour, freq_scale: float, nodes: Nodes):
-    """Yield the raw winding number of contour, one per level of
-    contour.node_levels(freq_scale).
+def winding(fdf, contour, freq_scale: float):
+    """(count, residual, nodes) for the zeros inside contour, refining it
+    level by level of contour.node_levels(freq_scale).
 
     Every level doubles the nodes of the one before, so every earlier
     weight halves: the running sum of f'/f times the weights halves, and
     the level's new nodes are added to it, evaluated _CHUNK at a time.
     Every node goes into nodes, and |f| is kept for every node, for the
-    median guard.  Yields None when a sample of f vanishes against the
-    median or the sum is not finite, and then stops.
+    median guard.  Returns as soon as the rounded count repeats with a
+    residual <= _RESIDUAL_TOL.  Raises Hugged when a sample of f vanishes
+    against the median or the sum is not finite, and for zeros located
+    within _HUG node spacings of the contour after a level that did not
+    settle or that settled with a node whose Newton step is that short;
+    QuadratureDivergence when the levels run out.
     """
-    total = 0j
+    nodes = Nodes()
+    total, previous = 0j, None
     absf = np.empty(0)
     for t, z, w, spacing in contour.node_levels(freq_scale):
         parts, added = [absf], 0j
@@ -357,20 +334,24 @@ def levels(fdf, contour, freq_scale: float, nodes: Nodes):
         nodes.spacing.append(spacing)
         absf = np.concatenate(parts)
         total = total / 2 + added
+        reach = _HUG * spacing
         if _guard_trips(absf) or not cmath.isfinite(total):
-            yield None
-            return
-        yield total
-
-
-def winding(fdf, contour, freq_scale: float, residual_tol: float):
-    """(count, residual, nodes) for the zeros inside contour; raises Hugged
-    when zeros hug it (see settle)."""
-    nodes = Nodes()
-    count, residual = settle(
-        fdf, levels(fdf, contour, freq_scale, nodes), nodes, contour, residual_tol
-    )
-    return count, residual, nodes
+            raise Hugged(locate(fdf, nodes, contour, reach), nodes)
+        count = int(round(total.real))
+        if previous is not None:
+            residual = abs(total - count)
+            settled = count == previous and residual <= _RESIDUAL_TOL
+            # A zero that close keeps a true sum far from an integer, so a
+            # settled sum next to one is half-windings that cancel.
+            near = min(float(s.min()) for s in nodes.step) <= reach + spacing / 2
+            if not settled or near:
+                hugging = locate(fdf, nodes, contour, reach)
+                if hugging:
+                    raise Hugged(hugging, nodes)
+            if settled:
+                return count, residual, nodes
+        previous = count
+    raise QuadratureDivergence(f"winding number did not stabilize on {contour}", where=contour)
 
 
 def no_zero_located(contour) -> ContourThroughZero:
@@ -380,7 +361,7 @@ def no_zero_located(contour) -> ContourThroughZero:
     )
 
 
-def moved_counts(fdf, contour, hug: Hugged, signs, freq_scale: float, residual_tol: float):
+def moved_counts(fdf, contour, hug: Hugged, signs, freq_scale: float):
     """Counts on the hugged contour moved by s * delta, for s in signs.
 
     delta starts at the contour's initial node spacing h and grows by h / 2
@@ -407,7 +388,7 @@ def moved_counts(fdf, contour, hug: Hugged, signs, freq_scale: float, residual_t
         counts, residual, windings = [], 0.0, []
         try:
             for c in moved:
-                n, res, nodes = winding(fdf, c, freq_scale, residual_tol) if c else (0, 0.0, None)
+                n, res, nodes = winding(fdf, c, freq_scale) if c else (0, 0.0, None)
                 points += nodes.points if nodes else 0
                 counts.append(n)
                 residual = max(residual, res)
@@ -425,7 +406,7 @@ def moved_counts(fdf, contour, hug: Hugged, signs, freq_scale: float, residual_t
     )
 
 
-def multiplicities(fdf, band, h: float, freq_scale: float, residual_tol: float):
+def multiplicities(fdf, band, h: float, freq_scale: float):
     """Zero counts of small disks around each located zero of band, radius
     at most h / 4 and 0.4 of the distance to the nearest other one.
     Returns (counts, points)."""
@@ -433,7 +414,7 @@ def multiplicities(fdf, band, h: float, freq_scale: float, residual_tol: float):
     for i, w in enumerate(band):
         rho = min([h / 4] + [0.4 * abs(w - v) for j, v in enumerate(band) if j != i])
         try:
-            n, _, nodes = winding(fdf, Circle(w, rho), freq_scale, residual_tol)
+            n, _, nodes = winding(fdf, Circle(w, rho), freq_scale)
         except Hugged:
             raise ContourThroughZero(
                 f"zeros crowd the located zero {w:.10g}: the disk of radius {rho:.3g} "
@@ -445,18 +426,18 @@ def multiplicities(fdf, band, h: float, freq_scale: float, residual_tol: float):
     return counts, points
 
 
-def closed_count(fdf, contour, freq_scale: float, residual_tol: float):
+def closed_count(fdf, contour, freq_scale: float):
     """Zeros in the closed region bounded by contour, with multiplicity.
     Returns (count, residual, points, the contour the count rests on)."""
     try:
-        n, residual, nodes = winding(fdf, contour, freq_scale, residual_tol)
+        n, residual, nodes = winding(fdf, contour, freq_scale)
         return n, residual, nodes.points, contour
     except Hugged as caught:
         hug = caught
     if not hug.zeros:
         raise no_zero_located(contour)
     delta, (inner, outer), (n_in, n_out), residual, zeros, points, windings = moved_counts(
-        fdf, contour, hug, (-1, 1), freq_scale, residual_tol
+        fdf, contour, hug, (-1, 1), freq_scale
     )
     # Every zero between the moved contours lies within delta of one of the
     # three, whose nodes locate it.
@@ -470,7 +451,7 @@ def closed_count(fdf, contour, freq_scale: float, residual_tol: float):
     ]
     mult = [1] * len(band)
     if n_out - n_in != len(band):
-        mult, more = multiplicities(fdf, band, hug.nodes.spacing[0], freq_scale, residual_tol)
+        mult, more = multiplicities(fdf, band, hug.nodes.spacing[0], freq_scale)
         points += more
     if n_out - n_in != sum(mult):
         raise ContourThroughZero(

@@ -27,7 +27,7 @@ from .errors import TooFewCenters, TooFewPoints, TooLarge, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
 from .permutations import MAX_ENUM_N
-from .sizing import DEFAULT_GAP_TOL, certify_top_class, is_generic
+from .sizing import certify_top_class, is_generic
 # Not called here; bench/selftest.py checks that its tracer rebinds this name.
 from .sizing import size_v  # noqa: F401
 from .zeros import _disk_counts
@@ -76,7 +76,9 @@ class ScanSummary:
 
 def fit_slope(radii, counts, skip: int = 0) -> tuple[float, float]:
     """Ordinary least squares of counts against radii, dropping the first
-    `skip` transient points (skip >= 0)."""
+    `skip` transient points (skip an integer >= 0)."""
+    if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)):
+        raise ValidationError(f"skip must be an integer, got {skip!r}")
     if skip < 0:
         raise ValidationError(f"skip must be >= 0, got {skip}")
     r = np.asarray(radii, dtype=float)[skip:]
@@ -177,28 +179,19 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
-def genericity_scan(
-    n: int,
-    trials: int,
-    seed: int,
-    box_side: float = 1.0,
-    min_gap: float | None = None,
-    strengths=None,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    class_tol: float = DEFAULT_CLASS_TOL,
-    freq_tol: float = DEFAULT_FREQ_TOL,
-    cancel_tol: float = DEFAULT_CANCEL_TOL,
-    near_factor: float = 10.0,
-) -> ScanSummary:
+def genericity_scan(n: int, trials: int, seed: int) -> ScanSummary:
     """Randomized scan of configurations for genericity and Weyl-ness.
 
-    Draws `trials` configurations uniformly in the cube (per-trial RNG
-    streams spawned deterministically from the seed), records the fraction
-    that is generic, the fraction classified Weyl, the distribution of the
-    genericity gap, and any trial whose expansion had a frequency group
-    within near_factor * cancel_tol of cancelling.  `trials` and `seed`
-    must be nonnegative, and 2 <= n <= MAX_ENUM_N (the expansion's cap),
-    whatever the number of trials.
+    Draws `trials` configurations of n centers uniformly in the unit cube
+    (random_configuration's default minimum gap), each from its own RNG
+    stream: trial t uses SeedSequence(seed, spawn_key=(t,)), the stream
+    SeedSequence(seed).spawn would give it.  Every trial has zero strengths
+    and the default tolerances of is_generic, expand and classify.  Records
+    the fraction that is generic, the fraction classified Weyl, the
+    distribution of the genericity gap, and any trial whose expansion had a
+    near-cancelled frequency group (CancellationReport.near_cancellations).
+    `trials` and `seed` must be nonnegative, and 2 <= n <= MAX_ENUM_N (the
+    expansion's cap), whatever the number of trials.
     """
     if trials < 0 or seed < 0:
         raise ValidationError(f"trials and seed must be >= 0, got trials={trials}, seed={seed}")
@@ -206,26 +199,22 @@ def genericity_scan(
         raise TooFewCenters(f"need at least 2 centers, got {n}")
     if n > MAX_ENUM_N:
         raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {n}")
-    if strengths is None:
-        strengths = np.zeros(n, dtype=complex)
-    a = strength_values(strengths, n)
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    a = np.zeros(n, dtype=complex)
     generic_flags = []
     weyl_flags = []
     min_gaps = []
     near_trials = []
     near_count = 0
     for t in range(trials):
-        config = random_configuration(
-            n, np.random.default_rng(streams[t]), box_side=box_side, min_gap=min_gap
-        )
-        report = is_generic(config, gap_tol=gap_tol)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        config = random_configuration(n, rng)
+        report = is_generic(config)
         generic_flags.append(report.is_generic)
         min_gaps.append(report.min_gap)
-        epoly, cancels = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+        epoly, cancels = expand(a, config)
         v = cancels._top_frequency()
-        weyl_flags.append(_verdict(epoly.effective_size, v, class_tol) == WEYL)
-        near = cancels.near_cancellations(factor=near_factor)
+        weyl_flags.append(_verdict(epoly.effective_size, v, DEFAULT_CLASS_TOL) == WEYL)
+        near = cancels.near_cancellations()
         if near:
             near_count += len(near)
             near_trials.append(t)

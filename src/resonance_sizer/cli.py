@@ -222,6 +222,8 @@ def cmd_expand(args) -> int:
 
 def cmd_classify(args) -> int:
     rc = load_run_config(args.config)
+    if args.with_counts and rc.radii is None:
+        raise ValidationError("classify --with-counts requires a 'counting' grid in the config")
     tol = rc.tolerances
     report = classify_report(
         rc.strengths,

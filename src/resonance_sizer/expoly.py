@@ -32,6 +32,10 @@ DEFAULT_FREQ_TOL = 1e-9
 # A frequency group counts as cancelled when its summed coefficients drop
 # below this fraction of the largest pre-sum coefficient magnitude.
 DEFAULT_CANCEL_TOL = 1e-10
+# Groups whose summed coefficients come within this factor of cancel_tol
+# are reported as near cancellations: a cancel_tol that much larger would
+# prune them.
+_NEAR_FACTOR = 10.0
 # Elements of exp(i z b) held at once by value_and_derivative (128 KB).
 _KERNEL_BLOCK = 1 << 13
 
@@ -83,10 +87,11 @@ class CancellationReport:
     freq_tol: float
     cancel_tol: float
 
-    def near_cancellations(self, factor: float = 10.0) -> tuple[CancellationGroup, ...]:
-        """Groups whose residual is within factor * cancel_tol of vanishing."""
+    def near_cancellations(self) -> tuple[CancellationGroup, ...]:
+        """Groups whose residual is within _NEAR_FACTOR * cancel_tol of
+        vanishing."""
         _, pre_scale, post_scale, _ = self.groups._columns
-        near = np.flatnonzero(post_scale <= factor * self.cancel_tol * pre_scale)
+        near = np.flatnonzero(post_scale <= _NEAR_FACTOR * self.cancel_tol * pre_scale)
         return tuple(map(self.groups.__getitem__, near.tolist()))
 
     def _top_frequency(self) -> float:

@@ -5,7 +5,8 @@ complex scalar or ndarray, such as ExpoPolynomial.value_and_derivative.
 Counts are winding numbers (1/2 pi i) * contour integral of f'/f, evaluated
 by trapezoid quadrature with nested point doubling (each level evaluates
 only the nodes the previous level lacks) until the raw value sits within
-a fixed residual of an integer and the rounded count stabilizes.
+1e-3 of an integer (_contours._RESIDUAL_TOL) and the rounded count
+stabilizes.
 
 Counts are of the closed region: a zero on the boundary of a disk or a
 rectangle belongs to it.  A zero on or very near the contour "hugs" it and
@@ -28,15 +29,16 @@ Localization quadrisects a rectangle, recursing on subcounts.  A root
 region hugged by zeros is padded outward by delta, searched whole, and the
 zeros found outside the closed region are dropped.  A split line that
 children hug is moved off the located zeros.  Singleton boxes are polished
-by Newton iteration and unresolved multi-zero boxes at maximum depth are
-reported as clusters with their total multiplicity.
+by Newton iteration (at most _NEWTON_MAX_ITER steps) and unresolved
+multi-zero boxes at depth _MAX_DEPTH are reported as clusters with their
+total multiplicity.
 
 Inputs the quadrature cannot use raise ValidationError: a circle or a
-rectangle that is not finite (or a radius <= 0), a freq_scale that is not
-finite or is < 0, a residual_tol outside (0, 0.5), and a max_depth < 0.
+rectangle that is not finite (or a radius <= 0), and a freq_scale that is
+not finite or is < 0.
 
 The contour shapes (Circle, and Rectangle, which this module re-exports),
-the one quadrature driver that serves both, the search for hugging zeros
+the one refinement loop that serves both, the search for hugging zeros
 and the moved contours live in _contours; this module holds the public
 API, its input checks and the quadrisection.
 """
@@ -55,8 +57,9 @@ from .errors import QuadratureDivergence, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration
 
-# Raw winding integrals must land this close to an integer.
-DEFAULT_RESIDUAL_TOL = 1e-3
+# Quadrisection depth: a box still holding several zeros after this many
+# splits (sides about 2^-14 of the region's) is reported as a cluster.
+_MAX_DEPTH = 14
 # Newton polishing limits.
 _NEWTON_MAX_ITER = 50
 _NEWTON_STEP_TOL = 1e-12
@@ -88,14 +91,11 @@ class Resonance:
     is_cluster: bool = False
 
 
-def _check_quadrature(freq_scale: float, residual_tol: float) -> None:
+def _check_quadrature(freq_scale: float) -> None:
     """Reject what the quadrature cannot use: a node count must come from a
-    finite freq_scale >= 0, and only a residual_tol in (0, 0.5) both can be
-    met and still pins the count to one integer."""
+    finite freq_scale >= 0."""
     if not (0 <= freq_scale < math.inf):
         raise ValidationError(f"freq_scale must be finite and >= 0, got {freq_scale}")
-    if not (0 < residual_tol < 0.5):
-        raise ValidationError(f"residual_tol must lie in (0, 0.5), got {residual_tol}")
 
 
 def count_zeros_disk(
@@ -103,44 +103,38 @@ def count_zeros_disk(
     radius: float,
     center: complex = 0.0,
     freq_scale: float = 1.0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ZeroCount:
     """Count zeros (with multiplicity) of f in the closed disk |z - center| <= radius.
 
     fdf(z) must return the pair (f(z), f'(z)) for a complex ndarray z.  The
     initial grid resolves oscillation at scale freq_scale * radius and is
     doubled (evaluating only the new nodes) until the rounded winding
-    number repeats and the residual drops below residual_tol.  Zeros that
+    number repeats and the residual drops below 1e-3.  Zeros that
     hug the circle are located and attributed by where they lie (see the
     module docstring); contour_radius is then the outer moved radius.
     """
-    _check_quadrature(freq_scale, residual_tol)
+    _check_quadrature(freq_scale)
     count, residual, points, contour = _contours.closed_count(
-        fdf, _contours.Circle(center, radius), freq_scale, residual_tol
+        fdf, _contours.Circle(center, radius), freq_scale
     )
     return ZeroCount(radius, count, residual, points, contour.radius)
 
 
-def count_zeros_rect(
-    fdf,
-    rect: Rectangle,
-    freq_scale: float = 1.0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> int:
+def count_zeros_rect(fdf, rect: Rectangle, freq_scale: float = 1.0) -> int:
     """Count zeros of f in the closed rectangle; fdf(z) returns (f(z), f'(z)).
 
     Zeros that hug the boundary are located and attributed by where they
     lie (see the module docstring).
     """
-    _check_quadrature(freq_scale, residual_tol)
-    return _contours.closed_count(fdf, rect, freq_scale, residual_tol)[0]
+    _check_quadrature(freq_scale)
+    return _contours.closed_count(fdf, rect, freq_scale)[0]
 
 
-def newton_polish(fdf, z0: complex, max_iter: int = _NEWTON_MAX_ITER):
+def newton_polish(fdf, z0: complex):
     """Newton iteration on f from z0, with fdf(z) = (f(z), f'(z));
     returns (z, converged)."""
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         fz, dfz = fdf(z)
         if fz == 0:
             return z, True
@@ -198,7 +192,7 @@ def _split_line(lo: float, hi: float, coords, h: float, skip: int) -> float | No
             skip -= 1
 
 
-def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol: float):
+def _split_box(fdf, box: Rectangle, count: int, freq_scale: float):
     """Quadrisect box into four children whose counts add up to count.
 
     The split lines start at the midlines and move off every zero located
@@ -223,7 +217,7 @@ def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol:
             Rectangle(xm, box.re_max, ym, box.im_max),
         )
         try:
-            counts = [_contours.winding(fdf, c, freq_scale, residual_tol)[0] for c in children]
+            counts = [_contours.winding(fdf, c, freq_scale)[0] for c in children]
         except _contours.Hugged as hug:
             zeros = _contours.merge(zeros, hug.zeros)
             near = any(min(abs(w.real - xm), abs(w.imag - ym)) < h / 2 for w in hug.zeros)
@@ -242,36 +236,28 @@ def _split_box(fdf, box: Rectangle, count: int, freq_scale: float, residual_tol:
     )
 
 
-def find_resonances(
-    fdf,
-    region: Rectangle,
-    max_depth: int = 14,
-    freq_scale: float = 1.0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[Resonance]:
+def find_resonances(fdf, region: Rectangle, freq_scale: float = 1.0) -> list[Resonance]:
     """Locate the zeros of f in the closed rectangle region; fdf(z) returns
     (f(z), f'(z)).
 
     Recursive quadrisection by argument-principle counts: single-zero boxes
     are polished by Newton iteration; boxes still holding several zeros at
-    max_depth are reported with is_cluster=True (at the box center) unless
+    depth _MAX_DEPTH are reported with is_cluster=True (at the box center) unless
     Newton converges to one common point from the box corners, in which
     case that point carries the whole multiplicity.  When zeros hug the
     boundary, the search runs on the region padded clear of them and keeps
     what lies in the closed region.  Total multiplicity always equals the
     closed-region count.
     """
-    _check_quadrature(freq_scale, residual_tol)
-    if max_depth < 0:
-        raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
+    _check_quadrature(freq_scale)
     try:
-        count = _contours.winding(fdf, region, freq_scale, residual_tol)[0]
+        count = _contours.winding(fdf, region, freq_scale)[0]
         root = region
     except _contours.Hugged as hug:
         if not hug.zeros:
             raise _contours.no_zero_located(region) from None
         _, (root,), (count,), *_ = _contours.moved_counts(
-            fdf, region, hug, (1,), freq_scale, residual_tol
+            fdf, region, hug, (1,), freq_scale
         )
 
     out: list[Resonance] = []
@@ -285,7 +271,7 @@ def find_resonances(
             if z is not None:
                 out.append(Resonance(z, 1, abs(complex(fdf(z)[0])), False))
                 continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             z = _newton_common_point(fdf, box)
             if z is not None:
                 out.append(Resonance(z, c, abs(complex(fdf(z)[0])), False))
@@ -293,7 +279,7 @@ def find_resonances(
                 zc = box.center
                 out.append(Resonance(zc, c, abs(complex(fdf(zc)[0])), True))
             continue
-        for child, cc in _split_box(fdf, box, c, freq_scale, residual_tol):
+        for child, cc in _split_box(fdf, box, c, freq_scale):
             stack.append((child, cc, depth + 1))
     if root is not region:
         pad = _contours.ON_BOUNDARY * region.size()
@@ -308,7 +294,6 @@ def counting_function(
     radii,
     freq_tol: float = DEFAULT_FREQ_TOL,
     cancel_tol: float = DEFAULT_CANCEL_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[ZeroCount]:
     """Zero counts of the expanded determinant in disks |z| < R.
 
@@ -316,17 +301,14 @@ def counting_function(
     disks are nested.
     """
     epoly, _ = expand(strengths, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
-    return _disk_counts(epoly, radii, residual_tol)
+    return _disk_counts(epoly, radii)
 
 
-def _disk_counts(epoly, radii, residual_tol: float = DEFAULT_RESIDUAL_TOL) -> list[ZeroCount]:
+def _disk_counts(epoly, radii) -> list[ZeroCount]:
     """counting_function's disk counts on an expansion the caller already
     made, so that classify sweeps S_N once."""
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
     scale = max(epoly.effective_size, 1e-3)
-    return [
-        count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale, residual_tol=residual_tol)
-        for r in radii
-    ]
+    return [count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale) for r in radii]

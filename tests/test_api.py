@@ -1,5 +1,6 @@
 """The package's public surface: `__all__` and the README quick start."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import resonance_sizer
+from resonance_sizer import _contours, zeros
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,3 +66,36 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# Tolerances and limits that every caller left at their defaults are module
+# constants (zeros._MAX_DEPTH, zeros._NEWTON_MAX_ITER, expoly._NEAR_FACTOR,
+# _contours._RESIDUAL_TOL); the functions that took them keep these
+# parameters.
+TRIMMED = {
+    resonance_sizer.genericity_scan: ("n", "trials", "seed"),
+    resonance_sizer.CancellationReport.near_cancellations: ("self",),
+    resonance_sizer.count_zeros_disk: ("fdf", "radius", "center", "freq_scale"),
+    zeros.count_zeros_rect: ("fdf", "rect", "freq_scale"),
+    resonance_sizer.find_resonances: ("fdf", "region", "freq_scale"),
+    resonance_sizer.counting_function: ("strengths", "config", "radii", "freq_tol", "cancel_tol"),
+    zeros.newton_polish: ("fdf", "z0"),
+    zeros._disk_counts: ("epoly", "radii"),
+    zeros._split_box: ("fdf", "box", "count", "freq_scale"),
+    _contours.winding: ("fdf", "contour", "freq_scale"),
+    _contours.moved_counts: ("fdf", "contour", "hug", "signs", "freq_scale"),
+    _contours.multiplicities: ("fdf", "band", "h", "freq_scale"),
+    _contours.closed_count: ("fdf", "contour", "freq_scale"),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, params", TRIMMED.items(), ids=[f"{f.__module__}.{f.__qualname__}" for f in TRIMMED]
+)
+def test_trimmed_signatures(fn, params):
+    assert tuple(inspect.signature(fn).parameters) == params
+
+
+def test_one_refinement_loop():
+    assert not hasattr(_contours, "levels") and not hasattr(_contours, "settle")
+    assert not hasattr(zeros, "DEFAULT_RESIDUAL_TOL")

@@ -56,6 +56,20 @@ def test_classify_rejects_negative_skip():
         classify([0.0, 0.0], cfg, radii=radii, skip=-3)
 
 
+@pytest.mark.parametrize("skip", [1.5, 2.0, True])
+def test_fit_slope_rejects_non_integer_skip(skip):
+    radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(ValidationError, match="skip must be an integer"):
+        fit_slope(radii, [2.0, 4.0, 6.0, 8.0, 10.0, 11.0], skip=skip)
+
+
+def test_classify_rejects_non_integer_skip():
+    cfg = validate_configuration([(0, 0, 0), (0, 0, 1.0)])
+    radii = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    with pytest.raises(ValidationError, match="skip must be an integer"):
+        classify([0.0, 0.0], cfg, radii=radii, skip=1.5)
+
+
 def test_pair_is_weyl_for_any_strengths():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -307,3 +321,15 @@ def test_scan_takes_v_from_its_expansion(seed, monkeypatch):
     assert calls == []
     sizing.size_v(random_configuration(5, seed))
     assert calls == ["size_v", "_assignment"]  # the spies are live
+
+
+def test_scan_spawns_no_streams_up_front(monkeypatch):
+    # trial t draws from SeedSequence(seed, spawn_key=(t,)), the stream
+    # SeedSequence(seed).spawn(trials)[t] would be, so memory before the
+    # first trial does not grow with the number of trials
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError(f"spawned {n_children} streams")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    assert genericity_scan(5, 25, 3) == SCANS_WITH_SIZE_V[3]

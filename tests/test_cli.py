@@ -292,6 +292,13 @@ def test_count_requires_grid(tmp_path, capsys):
     assert "counting" in err
 
 
+def test_classify_with_counts_requires_grid(tmp_path, capsys):
+    path = write_config(tmp_path)
+    rc, out, err = run(capsys, "classify", "--config", path, "--with-counts")
+    assert (rc, out) == (2, "")
+    assert "classify --with-counts requires a 'counting' grid" in err
+
+
 def test_count_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     path = write_config(
         tmp_path, counting={"r_min": 5.0, "r_max": 10.0, "steps": 2}
