@@ -74,18 +74,26 @@ class ScanSummary:
     near_cancellation_trials: tuple[int, ...]
 
 
-def fit_slope(radii, counts, skip: int = 0) -> tuple[float, float]:
-    """Ordinary least squares of counts against radii, dropping the first
-    `skip` transient points (skip an integer >= 0)."""
+def _check_skip(skip, n_points: int) -> None:
+    """Reject a skip that is not an integer >= 0 or that leaves fewer than
+    3 of n_points to fit."""
     if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)):
         raise ValidationError(f"skip must be an integer, got {skip!r}")
     if skip < 0:
         raise ValidationError(f"skip must be >= 0, got {skip}")
-    r = np.asarray(radii, dtype=float)[skip:]
-    c = np.asarray(counts, dtype=float)[skip:]
-    if len(r) < 3:
-        raise TooFewPoints(f"need at least 3 points after skip={skip}, got {len(r)}")
-    slope, intercept = np.polyfit(r, c, 1)
+    if n_points - skip < 3:
+        raise TooFewPoints(
+            f"need at least 3 points after skip={skip}, got {max(n_points - skip, 0)}"
+        )
+
+
+def fit_slope(radii, counts, skip: int = 0) -> tuple[float, float]:
+    """Ordinary least squares of counts against radii, dropping the first
+    `skip` transient points (skip an integer >= 0)."""
+    r = np.asarray(radii, dtype=float)
+    c = np.asarray(counts, dtype=float)
+    _check_skip(skip, len(r))
+    slope, intercept = np.polyfit(r[skip:], c[skip:], 1)
     return float(slope), float(intercept)
 
 
@@ -123,6 +131,10 @@ def classify(
     """
     config = validate_configuration(config)
     a = strength_values(strengths, config.n)
+    if radii is not None:
+        radii = [float(r) for r in radii]
+        if skip is not None:  # before the expansion and the counts
+            _check_skip(skip, len(radii))
     top = certify_top_class(config, freq_tol=freq_tol, cancel_tol=cancel_tol)
     v = top.v
     if radii is None and top.b_nu is not None:
@@ -142,12 +154,13 @@ def classify(
     radii_out = counts = residuals = None
     slope = intercept = w_est = None
     if radii is not None:
+        if skip is None:
+            skip = sum(1 for r in radii if r < 20.0 / b_nu)
+            _check_skip(skip, len(radii))
         zero_counts = _disk_counts(epoly, radii)
         radii_out = tuple(zc.radius for zc in zero_counts)
         counts = tuple(zc.count for zc in zero_counts)
         residuals = tuple(zc.winding_residual for zc in zero_counts)
-        if skip is None:
-            skip = sum(1 for r in radii_out if r < 20.0 / b_nu)
         slope, intercept = fit_slope(radii_out, counts, skip=skip)
         w_est = np.pi * slope
         discrepancies["slope_vs_b_nu"] = abs(w_est - b_nu) / b_nu

@@ -8,6 +8,7 @@ Euclidean distance matrix built here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,17 +115,20 @@ def random_configuration(
     """Sample N centers uniformly in the cube [0, box_side]^3.
 
     The whole draw is rejected and repeated until the minimum pairwise
-    distance reaches min_gap (default 1e-3 * box_side).  Deterministic for
-    a given integer seed; also accepts a numpy Generator.
+    distance reaches min_gap (default 1e-3 * box_side).  box_side must be
+    finite and > 0, min_gap finite and >= 0.  Deterministic for a given
+    integer seed; also accepts a numpy Generator.
     """
     if n < 2:
         raise TooFewCenters(f"need at least 2 centers, got {n}")
     if not (box_side > 0):
         raise NonpositiveScale(f"box_side must be positive, got {box_side}")
+    if not box_side < math.inf:
+        raise ValidationError(f"box_side must be finite, got {box_side}")
     if min_gap is None:
         min_gap = 1e-3 * box_side
-    if min_gap < 0:
-        raise ValidationError(f"min_gap must be nonnegative, got {min_gap}")
+    if not 0 <= min_gap < math.inf:
+        raise ValidationError(f"min_gap must be finite and nonnegative, got {min_gap}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_SAMPLING_TRIES):
         pts = rng.uniform(0.0, box_side, size=(n, 3))

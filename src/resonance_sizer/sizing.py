@@ -8,7 +8,10 @@ Hungarian method) in plain Python and returns the assignment duals with
 it, so numpy is the only dependency.  A configuration is generic when the
 representatives of the edge-equivalence classes (`permutations` holds the
 class rule) have pairwise distinct V; generic configurations always have
-Weyl-type counting asymptotics.
+Weyl-type counting asymptotics.  `is_generic` tests it with one gather of
+the class values per block of representatives and one unstable sort,
+from which the closest pair of the values' stable order is read off
+exactly (`_closest_pair`).
 
 The top frequency of the determinant expansion can often be had without
 the expansion.  Given the maximizer sigma, every permutation pi = sigma o tau
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
 from .geometry import Configuration, distance_matrix, validate_configuration
 from .permutations import ClassRepresentatives, _class_members, _cycles, _has_even_cycle
@@ -50,8 +54,10 @@ DEFAULT_GAP_TOL = 1e-9
 # the rounding of the margin's shortest paths (sums of up to N exchange
 # weights) and of the expansion's V values (sums of N distances).
 _MARGIN_SLACK = 64
-# Representatives per `representative_values` block (a few MB of temporaries).
-_VALUE_BLOCK = 1 << 15
+# Representatives per `representative_values` block.  Its index and gather
+# temporaries stay under 330 KB at N <= 10, so blocks reuse memory instead
+# of faulting in fresh pages: 32,768 took twice as long at N = 8.
+_VALUE_BLOCK = 1 << 12
 # Most cycles of length >= 3 `certify_top_class` lists a class for (2^12
 # members); at N <= 10 a maximizer has at most 3.
 _MAX_LONG_CYCLES = 12
@@ -238,14 +244,42 @@ def certify_top_class(
 
 def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
     """V of every edge-equivalence class representative, summed one block
-    of representatives at a time (each row still summed alone)."""
+    of representatives at a time (each row still summed alone).
+
+    Each block gathers its bond lengths in one `take` from the flattened
+    distance matrix, at flat index N * j + sigma(j)."""
     d = distance_matrix(config)
-    reps = enumerate_classes(len(d))
+    n = len(d)
+    reps = enumerate_classes(n)
+    row_starts = np.arange(0, n * n, n)
     values = np.empty(reps.n_classes)
     for start in range(0, reps.n_classes, _VALUE_BLOCK):
         rows = slice(start, start + _VALUE_BLOCK)
-        d[np.arange(len(d)), reps.images[rows]].sum(axis=1, out=values[rows])
+        d.take(reps.images[rows] + row_starts).sum(axis=1, out=values[rows])
     return reps, values
+
+
+def _closest_pair(values: np.ndarray) -> tuple[int, int, float]:
+    """Indices (first, second) and gap of the closest pair of values, as the
+    stable sort of the values gives it: the first smallest gap of the
+    sorted values, between its positions i and i + 1.  One unstable sort;
+    needs at least two values, none NaN.
+
+    The stable order is recovered without a stable argsort.  Position i
+    holds the first index of value s[i]: an earlier one would make an
+    earlier zero gap.  Position i + 1 holds the second index of that value
+    when the gap is 0; otherwise the only index of value s[i + 1], since a
+    second one would make a zero gap after i."""
+    ordered = np.sort(values)
+    gaps = ordered[1:] - ordered[:-1]
+    i = int(gaps.argmin())
+    lo, hi = ordered[i], ordered[i + 1]
+    first = int((values == lo).argmax())
+    if lo == hi:
+        second = first + 1 + int((values[first + 1 :] == lo).argmax())
+    else:
+        second = int((values == hi).argmax())
+    return first, second, float(gaps[i])
 
 
 def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> GenericityReport:
@@ -254,12 +288,14 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     The gap tolerance is relative (default 1e-9, scaled by max(1, V(Y)),
     where V(Y) is the largest representative value); it is reported back
     since genericity of a borderline configuration depends on this choice.
+    gap_tol must be finite and >= 0.  The witness pair is the closest pair
+    of class values in their stable order (`_closest_pair`): one sort of
+    the values, after one gather per block of representatives.
     """
+    if not 0 <= gap_tol < math.inf:
+        raise ValidationError(f"gap_tol must be finite and >= 0, got {gap_tol}")
     reps, values = representative_values(config)
     tol = gap_tol * max(1.0, float(values.max()))
-    order = np.argsort(values, kind="stable")
-    gaps = np.diff(values[order])
-    i = int(np.argmin(gaps))
-    witness = tuple(tuple(row) for row in reps.images[order[i : i + 2]].tolist())
-    min_gap = float(gaps[i])
+    first, second, min_gap = _closest_pair(values)
+    witness = (tuple(reps.images[first].tolist()), tuple(reps.images[second].tolist()))
     return GenericityReport(min_gap > tol, min_gap, witness, tol)

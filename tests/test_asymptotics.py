@@ -70,6 +70,32 @@ def test_classify_rejects_non_integer_skip():
         classify([0.0, 0.0], cfg, radii=radii, skip=1.5)
 
 
+@pytest.mark.parametrize(
+    "skip, error", [(1.5, ValidationError), (-1, ValidationError), (4, TooFewPoints), (None, TooFewPoints)]
+)
+def test_classify_rejects_skip_before_any_count(monkeypatch, skip, error):
+    # six radii: skip=4 leaves two to fit, and so does the default skip,
+    # which drops the four radii below 20 / b_nu = 10
+    def no_counts(*args, **kwargs):
+        raise AssertionError("counted zeros before checking skip")
+
+    monkeypatch.setattr(asymptotics, "_disk_counts", no_counts)
+    cfg = validate_configuration([(0, 0, 0), (0, 0, 1.0)])
+    radii = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    with pytest.raises(error):
+        classify([0.0, 0.0], cfg, radii=radii, skip=skip)
+
+
+def test_classify_rejects_explicit_skip_before_the_expansion(monkeypatch):
+    def no_expand(*args, **kwargs):
+        raise AssertionError("expanded before checking skip")
+
+    monkeypatch.setattr(asymptotics, "expand", no_expand)
+    cfg = random_configuration(5, 0)
+    with pytest.raises(ValidationError, match="skip must be an integer"):
+        classify(np.zeros(5), cfg, radii=np.linspace(20, 130, 12), skip=1.5)
+
+
 def test_pair_is_weyl_for_any_strengths():
     rng = np.random.default_rng(21)
     for _ in range(5):

@@ -134,6 +134,23 @@ def test_random_configuration_exhausts_on_impossible_gap():
         random_configuration(5, seed=0, box_side=1.0, min_gap=2.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"box_side": float("inf")},
+        {"box_side": float("nan")},
+        {"min_gap": float("nan")},
+        {"min_gap": float("inf")},
+        {"min_gap": -0.1},
+    ],
+)
+def test_random_configuration_rejects_non_finite_scales(kwargs):
+    # rejected up front, not after the sampling budget is spent
+    with pytest.raises(ValidationError) as excinfo:
+        random_configuration(5, seed=0, **kwargs)
+    assert excinfo.type is not SamplingExhausted
+
+
 def test_random_configuration_needs_two():
     with pytest.raises(TooFewCenters):
         random_configuration(1, seed=0)

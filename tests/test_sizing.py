@@ -14,9 +14,9 @@ from resonance_sizer import (
     size_v,
     validate_configuration,
 )
-from resonance_sizer.errors import SizeMismatch
+from resonance_sizer.errors import SizeMismatch, ValidationError
 from resonance_sizer.geometry import scale_configuration
-from resonance_sizer.sizing import _assignment, representative_values
+from resonance_sizer.sizing import _assignment, _closest_pair, representative_values
 from tests.conftest import DISPHENOID_CENTERS, SHAPES, apply_rigid_motion, brute_size
 from tests.permutation_reference import (
     Permutation,
@@ -24,6 +24,10 @@ from tests.permutation_reference import (
     edge_equivalent,
     v_sigma,
 )
+from tests.sizing_reference import closest_pair_reference, is_generic_reference
+
+# Configurations whose class values tie exactly (min_gap 0).
+EXACT_TIES = {**SHAPES, "disphenoid": np.array(DISPHENOID_CENTERS)}
 
 
 def brute_max(config):
@@ -191,6 +195,38 @@ def test_representative_values_blockwise_bytes(n, seed):
     reps, values = representative_values(cfg)
     d = distance_matrix(cfg)
     assert values.tobytes() == d[np.arange(n), reps.images].sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TIES))
+def test_is_generic_equals_oracle_on_exact_ties(name):
+    cfg = validate_configuration(EXACT_TIES[name])
+    report = is_generic(cfg)
+    assert report == is_generic_reference(cfg)
+    assert report.min_gap == 0.0 and not report.is_generic
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_is_generic_equals_oracle_random(n):
+    for seed in range(6):
+        cfg = random_configuration(n, seed=seed)
+        assert is_generic(cfg) == is_generic_reference(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=2, max_size=40),
+)
+def test_closest_pair_is_the_stable_orders(pool, picks):
+    # a few distinct values drawn many times: mostly exact ties
+    values = np.array([pool[k % len(pool)] for k in picks])
+    assert _closest_pair(values) == closest_pair_reference(values)
+
+
+@pytest.mark.parametrize("gap_tol", [float("nan"), float("inf"), -1.0])
+def test_is_generic_rejects_bad_gap_tol(gap_tol):
+    with pytest.raises(ValidationError, match="gap_tol"):
+        is_generic(random_configuration(4, seed=0), gap_tol=gap_tol)
 
 
 def test_v_sigma_inverse_and_class_mates():
