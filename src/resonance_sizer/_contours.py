@@ -3,12 +3,18 @@
 A contour is a Circle or a Rectangle.  Each shape lays out its trapezoid
 nodes level by level (node_levels): the nodes a level adds, their weights
 dz / (2 pi i), the level's node spacing, and as many levels as the shape's
-budget allows.  One refinement loop (winding) sums f'/f against those
-weights for both shapes, level by level, until the count settles within
-_RESIDUAL_TOL of an integer, or raises Hugged with the zeros it located;
-the zeros module docstring describes the method.  moved_counts() counts on
-contours moved clear of them, and closed_count() attributes them to the
-closed region.
+budget allows.  A circle lays out each level in conjugate pairs about its
+center, so that the two nodes of a pair share Re z bit for bit, as the
+nodes of a rectangle's vertical edge do; the evaluation kernel takes one
+phase row e^{i b Re z} per such run.  A contour whose first two levels, the
+fewest a count can settle on, would hold more than _MAX_POINTS nodes raises
+QuadratureDivergence before any node is evaluated.
+
+One refinement loop (winding) sums f'/f against those weights for both
+shapes, level by level, until the count settles within _RESIDUAL_TOL of an
+integer, or raises Hugged with the zeros it located; the zeros module
+docstring describes the method.  moved_counts() counts on contours moved
+clear of them, and closed_count() attributes them to the closed region.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .errors import ContourThroughZero, EvaluationOverflow, QuadratureDivergence
 _RESIDUAL_TOL = 1e-3
 # Contour samples with |f| below this fraction of the median stop the count.
 _CONTOUR_GUARD = 1e-12
-# Node budget of a circle: its last level has at most this many nodes.
+# Node budget: a circle's last level, and the first two levels of any
+# contour, hold at most this many nodes.
 _MAX_POINTS = 1 << 22
 # Contour nodes per fdf call.  This bounds only the per-call temporaries
 # (the evaluation kernel's blocks, f, f' and f'/f); Nodes keeps t, z and the
@@ -50,6 +57,17 @@ MAX_MOVES = 4
 ON_BOUNDARY = 1e-9
 # e^{b |Im z|} overflows a double past this exponent.
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
+def check_budget(contour, nodes: int) -> None:
+    """Raise QuadratureDivergence when the first two levels of contour,
+    the fewest a count can settle on, hold more than _MAX_POINTS nodes."""
+    if nodes > _MAX_POINTS:
+        raise QuadratureDivergence(
+            f"a count on {contour} needs {nodes} nodes for its first two levels, "
+            f"past the budget of {_MAX_POINTS} nodes",
+            where=contour,
+        )
 
 
 @dataclass(frozen=True)
@@ -79,21 +97,39 @@ class Circle:
         dz / (2 pi i) = r e^{2 pi i t} / n, and the level's node spacing.
 
         n starts at 8 r freq_scale (at least 256) and doubles while
-        n <= _MAX_POINTS.  The nodes 2 pi k / n of one level are
-        bit-identical to the even nodes 2 pi (2k) / (2n) of the next, so
+        n <= _MAX_POINTS; QuadratureDivergence is raised up front when the
+        two levels a count needs exceed that budget.  The nodes 2 pi k / n
+        of one level are the even nodes 2 pi (2k) / (2n) of the next, so
         each later level adds only its odd k.
+
+        A level lays out its nodes in conjugate pairs: node k, 0 < k < n/2,
+        is center + v with v = r e^{2 pi i k / n}, and node n - k, right
+        after it, is center + conj(v), so the two share Re z bit for bit
+        and the evaluation kernel takes one phase row for both.  The
+        self-conjugate nodes k = 0 and k = n/2 (center + r and center - r)
+        come last.
         """
         r = self.radius
         n = max(256, math.ceil(8 * r * freq_scale))
+        check_budget(self, 2 * n)
         start, step = 0, 1
         while n <= _MAX_POINTS:
             k = np.arange(start, n, step)
-            unit = np.exp(1j * (2 * np.pi * k / n))
-            yield k / n, self.center + r * unit, r * unit / n, 2 * np.pi * r / n
+            upper = k[(0 < k) & (2 * k < n)]
+            ends = k[(k == 0) | (2 * k == n)]
+            v = r * np.exp(1j * (2 * np.pi * upper / n))
+            v = np.append(_interleave(v, v.conj()), np.where(ends == 0, r, -r))
+            k = np.append(_interleave(upper, n - upper), ends)
+            yield k / n, self.center + v, v / n, 2 * np.pi * r / n
             start, step, n = 1, 2, 2 * n
 
     def __str__(self) -> str:
         return f"|z - {self.center}| = {self.radius!r}"
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    return np.column_stack([a, b]).ravel()
 
 
 def _edge_panels(length: float, freq_scale: float) -> int:
@@ -184,6 +220,7 @@ class Rectangle:
         corners = self.corners
         sides = [b - a for a, b in zip(corners, corners[1:] + corners[:1])]
         counts = [_edge_panels(abs(s), freq_scale) for s in sides]
+        check_budget(self, 2 * sum(counts))
         spacing = self.spacing(freq_scale)
         start, step = 0, 1
         for _ in range(_RECT_LEVELS):

@@ -182,10 +182,20 @@ class ExpoPolynomial:
 
         D = sum_p z^p sum_j C_jp e^{i b_j z} and D' is the same sum over
         C', the coefficients of P' + i b P.  Each block of points computes
-        E = exp(i z (x) b) once (about _KERNEL_BLOCK elements), contracts
-        it with the cached [C | C'] table and finishes both sums by Horner
-        in z.  A scalar gives a pair of complex numbers; an array gives two
-        arrays of its shape.
+        E = exp(i z (x) b) (about _KERNEL_BLOCK elements), contracts it with
+        the cached [C | C'] table and finishes both sums by Horner in z.  A
+        scalar gives a pair of complex numbers; an array gives two arrays of
+        its shape.
+
+        Nearly all of the cost is the phase e^{i b x} of e^{i b z} =
+        e^{i b x} e^{-b y}, z = x + i y.  So when consecutive points share
+        their real part bit for bit (a circle's conjugate pairs, a vertical
+        edge), a block takes one phase row per run of equal x and multiplies
+        it by the real magnitude row e^{-b y} of each point.  Blocks then
+        hold an even number of rows, so that no pair straddles two.  A
+        block with no repeated real part computes E with one complex exp,
+        as before; so a scalar (Newton), or an array with no repeated real
+        part, gives the same bits as before.
         """
         zz = np.asarray(z, dtype=complex)
         flat = zz.reshape(-1)
@@ -193,12 +203,38 @@ class ExpoPolynomial:
         if len(self._freqs):
             ifreqs, table = self._fdf_table()
             rows = max(1, _KERNEL_BLOCK // len(ifreqs))
+            x = flat.real
+            run = None
+            if flat.size > 1 and (x[1:] == x[:-1]).any():
+                rows += rows % 2
+                # run[i] numbers the run of equal x that holds point i; a
+                # run starts wherever x changes and at every block start
+                fresh = np.empty(flat.size, dtype=bool)
+                np.not_equal(x[1:], x[:-1], out=fresh[1:])
+                fresh[::rows] = True
+                run = np.cumsum(fresh) - 1
+                run_x = x[fresh, None]
+                # a block's phase rows, then, once gathered into E, its
+                # magnitude rows (real, so m of them fill m / 2 rows)
+                spare = np.empty((min(rows, flat.size), len(ifreqs)), dtype=complex)
+                neg_freqs = -self._freqs
             exps = np.empty((min(rows, flat.size), len(ifreqs)), dtype=complex)
             for lo in range(0, flat.size, rows):
                 w = flat[lo : lo + rows, None]
                 e = exps[: len(w)]
-                np.multiply(w, ifreqs, out=e)
-                np.exp(e, out=e)
+                runs = None if run is None else run[lo : lo + len(w)] - run[lo]
+                if runs is None or runs[-1] == len(w) - 1:
+                    np.multiply(w, ifreqs, out=e)
+                    np.exp(e, out=e)
+                else:
+                    phase = spare[: runs[-1] + 1]
+                    np.multiply(run_x[run[lo] : run[lo] + len(phase)], ifreqs, out=phase)
+                    np.exp(phase, out=phase)
+                    np.take(phase, runs, axis=0, out=e, mode="clip")
+                    mag = spare.view(float).reshape(-1, len(ifreqs))[: len(w)]
+                    np.multiply(w.imag, neg_freqs, out=mag)
+                    np.exp(mag, out=mag)
+                    np.multiply(e, mag, out=e)
                 # row p of `sums` holds the pair (D, D') coefficients of z^p
                 sums = (e @ table).reshape(len(w), -1, 2)
                 acc = sums[:, -1]

@@ -35,7 +35,15 @@ total multiplicity.
 
 Inputs the quadrature cannot use raise ValidationError: a circle or a
 rectangle that is not finite (or a radius <= 0), and a freq_scale that is
-not finite or is < 0.
+not finite or is < 0.  A contour whose first two levels need more than
+_contours._MAX_POINTS nodes (2^22) raises QuadratureDivergence before any
+evaluation, naming the nodes needed and the budget.
+
+fdf sees a circle's nodes in conjugate pairs about its center, each pair
+sharing Re z bit for bit, and a rectangle's vertical edges as runs of
+equal Re z; ExpoPolynomial.value_and_derivative takes one phase row
+e^{i b Re z} per run.  Any fdf works: the order of the nodes only changes
+the rounding of the sum.
 
 The contour shapes (Circle, and Rectangle, which this module re-exports),
 the one refinement loop that serves both, the search for hugging zeros

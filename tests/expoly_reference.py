@@ -9,11 +9,20 @@ the slowest, most literal reading of the Leibniz expansion.
 `evaluate_reference` sums P_b(z) e^{i b z} one term at a time, and
 `derivative_reference` builds (P' + i b P) term by term, as `evaluate` and
 `derivative` did before the fused value-and-derivative kernel.
+`value_and_derivative_reference` is that fused kernel as it was before
+points with equal real parts shared one phase row: one complex exp per
+point and frequency.
+
+Run as `python -m tests.expoly_reference CONFIG.json`, it compares the
+installed kernel with that oracle on the first two levels of a circle
+around the configuration's zeros (see `main`).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +32,13 @@ from resonance_sizer import (
     Configuration,
     ExpoPolynomial,
     distance_matrix,
+    expand,
     validate_configuration,
 )
 from resonance_sizer import _sweep
+from resonance_sizer._contours import Circle
 from resonance_sizer.errors import TooLarge
-from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
+from resonance_sizer.expoly import _KERNEL_BLOCK, DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
 from resonance_sizer.geometry import strength_values
 from resonance_sizer.permutations import MAX_ENUM_N
 from tests.permutation_reference import Permutation, permutation_sign
@@ -173,6 +184,52 @@ def evaluate_reference(epoly, z):
     return total
 
 
+def value_and_derivative_reference(epoly, z):
+    """D(z) and D'(z), one complex exp per point and frequency.
+
+    Each block of points computes E = exp(i z (x) b) (about
+    expoly._KERNEL_BLOCK elements), contracts it with the [C | C'] table
+    and finishes both sums by Horner in z.
+    """
+    zz = np.asarray(z, dtype=complex)
+    flat = zz.reshape(-1)
+    out = np.zeros((flat.size, 2), dtype=complex)
+    if len(epoly.frequencies):
+        ifreqs, table = epoly._fdf_table()
+        rows = max(1, _KERNEL_BLOCK // len(ifreqs))
+        exps = np.empty((min(rows, flat.size), len(ifreqs)), dtype=complex)
+        for lo in range(0, flat.size, rows):
+            w = flat[lo : lo + rows, None]
+            e = exps[: len(w)]
+            np.multiply(w, ifreqs, out=e)
+            np.exp(e, out=e)
+            sums = (e @ table).reshape(len(w), -1, 2)
+            acc = sums[:, -1]
+            for p in range(sums.shape[1] - 2, -1, -1):
+                acc = acc * w + sums[:, p]
+            out[lo : lo + len(w)] = acc
+    if zz.ndim == 0:
+        return complex(out[0, 0]), complex(out[0, 1])
+    return out[:, 0].reshape(zz.shape), out[:, 1].reshape(zz.shape)
+
+
+def term_scale(epoly, z):
+    """sum_jp |C_jp z^p e^{i b_j z}| and the same sum over C', per point:
+    the size of the terms that D(z) and D'(z) add up, against which
+    rounding is measured."""
+    zz = np.asarray(z, dtype=complex).reshape(-1)
+    out = np.zeros((zz.size, 2))
+    if len(epoly.frequencies):
+        _, table = epoly._fdf_table()
+        rows = max(1, _KERNEL_BLOCK // len(epoly.frequencies))
+        for lo in range(0, zz.size, rows):
+            w = zz[lo : lo + rows, None]
+            sums = (np.exp(-w.imag * epoly.frequencies) @ np.abs(table)).reshape(len(w), -1, 2)
+            powers = np.abs(w)[..., None] ** np.arange(sums.shape[1])[:, None]
+            out[lo : lo + len(w)] = (sums * powers).sum(axis=1)
+    return out[:, 0], out[:, 1]
+
+
 def derivative_reference(epoly):
     """The termwise derivative (P' + i b P) e^{i b z}, one term at a time."""
     out = []
@@ -207,3 +264,46 @@ def canonical_terms_reference(frequencies, rows):
         if len(nonzero):
             out.append((float(b), row[: nonzero[-1] + 1]))
     return out
+
+
+# The kernel's D and D' may differ from the oracle's by this fraction of the
+# size of the terms they sum (term_scale): both round the same sums, with
+# phase and magnitude rows that differ from one complex exp by an ulp or two.
+KERNEL_REL_TOL = 1e-13
+# b_nu * radius of the circle that main evaluates: 800 nodes per level.
+_MAIN_BR = 100.0
+
+
+def kernel_gap(epoly, z) -> float:
+    """The largest gap between the kernel and the oracle at the points z,
+    for D and D', relative to term_scale."""
+    got = epoly.value_and_derivative(z)
+    want = value_and_derivative_reference(epoly, z)
+    scale = term_scale(epoly, z)
+    return max(float(np.max(np.abs(g - w) / s, initial=0.0)) for g, w, s in zip(got, want, scale))
+
+
+def main(argv: list[str]) -> int:
+    """Compare the kernel with the oracle on the first two levels of the
+    circle |z| = 100 / b_nu, whose nodes come in conjugate pairs, for the
+    configuration and strengths in the JSON file argv[0]."""
+    (path,) = argv
+    with open(path) as fh:
+        raw = json.load(fh)
+    epoly, _ = expand(raw["strengths"], validate_configuration(raw["centers"]))
+    b = epoly.effective_size
+    levels = Circle(0.0, _MAIN_BR / b).node_levels(b)
+    nodes = [z for _, (_, z, _, _) in zip(range(2), levels)]
+    gap = max(kernel_gap(epoly, z) for z in nodes)
+    ok = gap <= KERNEL_REL_TOL
+    print(
+        f"N = {len(raw['centers'])}, {len(epoly.frequencies)} frequencies, "
+        f"{sum(map(len, nodes))} nodes on two levels: "
+        f"kernel against the one-exp oracle, largest gap {gap:.2e} of the term size "
+        f"(tolerance {KERNEL_REL_TOL:g}): {'ok' if ok else 'FAILED'}"
+    )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -329,6 +329,31 @@ def test_count_overflow_exits_3(tmp_path, capsys):
     assert "|z - 0.0| = 155.0" in err and "log(DBL_MAX) = 709.78" in err
 
 
+@pytest.mark.parametrize("radius, nodes", [(6e5, 9_600_000), (5e5, 8_000_000)])
+def test_count_past_node_budget_exits_3(tmp_path, capsys, radius, nodes):
+    # centers 0.5 apart: b_nu = 1, so a count at R needs 2 * 8R nodes
+    path = write_config(
+        tmp_path,
+        centers=[[0, 0, 0], [0.5, 0, 0]],
+        counting={"r_min": radius, "r_max": 2 * radius, "steps": 2},
+    )
+    rc, out, err = run(capsys, "count", "--config", path)
+    assert (rc, out) == (3, "")
+    circle = f"|z - 0.0| = {radius!r}"
+    assert err.startswith(f"numerical failure: a count on {circle} needs {nodes} nodes")
+    assert "budget of 4194304 nodes" in err
+
+
+def test_resonances_past_node_budget_exits_3(tmp_path, capsys):
+    path = write_config(
+        tmp_path, region={"re_min": 0.0, "re_max": 1e9, "im_min": -3.0, "im_max": 0.0}
+    )
+    rc, out, err = run(capsys, "resonances", "--config", path)
+    assert (rc, out) == (3, "")
+    assert err.startswith("numerical failure: a count on Rectangle(re_min=0.0, re_max=1000000000.0")
+    assert "budget of 4194304 nodes" in err
+
+
 def test_resonances_p0_only(tmp_path, capsys):
     path = write_config(
         tmp_path,

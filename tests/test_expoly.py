@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from resonance_sizer import (
@@ -19,14 +21,18 @@ from resonance_sizer import (
     zero_frequency_polynomial,
 )
 from tests.conftest import DISPHENOID_CENTERS
+from resonance_sizer._contours import Circle
 from resonance_sizer.errors import TooLarge
 from resonance_sizer.expoly import _KERNEL_BLOCK, _NEAR_FACTOR, CancellationGroup
 from tests.expoly_reference import (
+    KERNEL_REL_TOL,
     canonical_terms_reference,
     derivative_reference,
     evaluate_reference,
     expand_reference,
+    kernel_gap,
     leibniz_terms,
+    value_and_derivative_reference,
 )
 from tests.permutation_reference import edge_multigraph, v_sigma
 
@@ -447,6 +453,96 @@ class TestValueAndDerivative:
         f, df = ExpoPolynomial([]).value_and_derivative(np.array([0.5, 1j]))
         np.testing.assert_array_equal(f, [0, 0])
         np.testing.assert_array_equal(df, [0, 0])
+
+
+def _random_table(width: int, seed: int) -> ExpoPolynomial:
+    rng = np.random.default_rng(seed)
+    freqs = np.sort(rng.uniform(0, 4, width))
+    return ExpoPolynomial(freqs, rng.normal(size=(width, 3)) + 1j * rng.normal(size=(width, 3)))
+
+
+# Tables for the kernel's phase sharing, by the rows a block holds: 2730,
+# 11 (an odd count the sharing rounds up to 12) and 2 (one pair).
+SHARING_TABLES = {
+    "3 frequencies": _random_table(3, 0),
+    "700 frequencies": _random_table(700, 1),
+    "3000 frequencies": _random_table(3000, 2),
+}
+
+
+def shared_block_rows(epoly) -> int:
+    """Rows per block when some real part repeats: the one-exp block
+    rounded up to an even count."""
+    rows = max(1, _KERNEL_BLOCK // len(epoly.frequencies))
+    return rows + rows % 2
+
+
+@st.composite
+def runs_of_equal_real_part(draw):
+    """Points in runs that share Re z bit for bit: pairs, runs of 3 or
+    more, and single points; neighbouring runs may share it too."""
+    xs = st.sampled_from([-7.25, -0.5, -0.0, 0.0, 1.0, 3.3])
+    ys = st.lists(st.floats(-3, 3), min_size=1, max_size=5)
+    runs = draw(st.lists(st.tuples(xs, ys), max_size=10))
+    return np.array([complex(x, y) for x, ys in runs for y in ys], dtype=complex)
+
+
+class TestSharedPhase:
+    """The kernel against value_and_derivative_reference, which takes one
+    complex exp per point and frequency."""
+
+    @staticmethod
+    def assert_same_bits(epoly, z):
+        got, want = epoly.value_and_derivative(z), value_and_derivative_reference(epoly, z)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=st.sampled_from(sorted(SHARING_TABLES)), z=runs_of_equal_real_part())
+    def test_matches_oracle(self, table, z):
+        epoly = SHARING_TABLES[table]
+        assert kernel_gap(epoly, z) <= KERNEL_REL_TOL
+        if not (z.real[1:] == z.real[:-1]).any():
+            self.assert_same_bits(epoly, z)
+
+    @pytest.mark.parametrize("table", sorted(SHARING_TABLES))
+    def test_run_across_block_boundary(self, table):
+        epoly = SHARING_TABLES[table]
+        rows = shared_block_rows(epoly)
+        # a run of rows + 3 from the second-to-last row of the first block on
+        z = np.concatenate([np.arange(rows - 2) - 1j, 2.5 + 1j * np.linspace(-1, 1, rows + 3)])
+        assert kernel_gap(epoly, z) <= KERNEL_REL_TOL
+
+    @pytest.mark.parametrize("table", sorted(SHARING_TABLES))
+    def test_scalar_and_empty_are_unchanged(self, table):
+        epoly = SHARING_TABLES[table]
+        for z in (1.25 - 0.5j, np.array([1.25 - 0.5j]), np.empty(0, dtype=complex)):
+            self.assert_same_bits(epoly, z)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["N=5", "5000 frequencies"])
+    def test_paired_level_shares_its_phase_rows(self, monkeypatch, wide):
+        """A circle level of n nodes takes at most n/2 + 2 phase rows: one per
+        conjugate pair and one per real-offset node.  A one-exp block of the
+        5000-wide table holds one row, a shared one holds one pair."""
+        if wide:
+            epoly = _random_table(5000, 3)
+        else:
+            rng = np.random.default_rng(7)
+            epoly, _ = expand(rng.normal(size=5), random_configuration(5, rng))
+        exp, rows = np.exp, []
+
+        def counting_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x) and np.ndim(x) == 2:
+                rows.append(len(x))
+            return exp(x, *args, **kwargs)
+
+        levels = Circle(0.3 - 0.2j, 25.0).node_levels(epoly.effective_size)
+        for _, (_, z, _, _) in zip(range(2), levels):
+            rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np, "exp", counting_exp)
+                epoly.value_and_derivative(z)
+            assert 0 < sum(rows) <= len(z) // 2 + 2
 
 
 def test_zero_frequency_polynomial_roots():

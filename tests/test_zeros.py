@@ -19,8 +19,8 @@ from resonance_sizer import (
     validate_configuration,
     zero_frequency_polynomial,
 )
-from resonance_sizer._contours import Circle
-from resonance_sizer.errors import EvaluationOverflow
+from resonance_sizer._contours import _MAX_POINTS, Circle
+from resonance_sizer.errors import EvaluationOverflow, QuadratureDivergence
 from resonance_sizer.zeros import count_zeros_rect, newton_polish
 from tests.conftest import (
     EDGE_ZEROS,
@@ -246,12 +246,71 @@ def test_disk_evaluates_each_node_once(unit_pair):
     epoly, _ = expand([0, 0], unit_pair)
     spy = Spy(epoly.value_and_derivative)
     zc = count_zeros_disk(spy, 40.0, freq_scale=2.0)
-    assert zc.contour_radius == 40.0 and zc.quadrature_points > 640
-    # n points for a stop at n, not n0 + 2 n0 + ...
-    assert len(spy.points) == zc.quadrature_points
+    assert zc.contour_radius == 40.0
+    # n points for a stop at n, not n0 + 2 n0 + ..., each of them a node
+    # 40 e^{2 pi i k / n} once
+    assert len(spy.points) == zc.quadrature_points == 1280
     n = zc.quadrature_points
-    expected = 40.0 * np.exp(1j * (2 * np.pi * np.arange(n) / n))
-    np.testing.assert_array_equal(np.sort_complex(spy.points), np.sort_complex(expected))
+    z = spy.points
+    k = np.rint(np.angle(z) / (2 * np.pi) * n).astype(int) % n
+    np.testing.assert_array_equal(np.sort(k), np.arange(n))
+    # the angle taken in [-pi, pi], where its rounding is smallest
+    exact = 40.0 * np.exp(2j * np.pi * np.where(2 * k > n, k - n, k) / n)
+    np.testing.assert_allclose(z, exact, rtol=0, atol=4 * np.finfo(float).eps * 40.0)
+    # each call lays out conjugate pairs, upper node first, then the real
+    # nodes 40 and -40 of its level
+    for call in spy.calls:
+        pairs = np.flatnonzero(call.imag != 0)
+        np.testing.assert_array_equal(pairs, np.arange(len(pairs)))
+        assert (call[: len(pairs) : 2].imag > 0).all()
+        np.testing.assert_array_equal(call[1 : len(pairs) : 2], call[: len(pairs) : 2].conj())
+
+
+@pytest.mark.parametrize(
+    "center, radius, freq_scale",
+    # n = 256, 257 (odd: its second level holds k = n / 2), 1001
+    [(0.0, 1.0, 1.0), (0.7 - 2.5j, 1.0, 32.1), (-3e3 + 1e-3j, 12.5, 10.0)],
+)
+def test_circle_levels_lay_out_conjugate_pairs(center, radius, freq_scale):
+    """Each level: nodes k and n - k next to each other, sharing Re z bit
+    for bit, the weight of the second the conjugate of the first's; the
+    nodes center + r and center - r last; every k of the level once."""
+    circle = Circle(center, radius)
+    n = max(256, int(np.ceil(8 * radius * freq_scale)))
+    for level, (t, z, w, _) in zip(range(3), circle.node_levels(freq_scale)):
+        size = n << level
+        k = np.rint(t * size).astype(int)
+        want = np.arange(size) if level == 0 else np.arange(1, size, 2)
+        np.testing.assert_array_equal(np.sort(k), want)
+        ends = (k == 0) | (2 * k == size)
+        paired = len(k) - ends.sum()
+        assert not ends[:paired].any()
+        np.testing.assert_array_equal(k[1:paired:2], size - k[:paired:2])
+        np.testing.assert_array_equal(z.real[1:paired:2], z.real[:paired:2])
+        np.testing.assert_array_equal(w[1:paired:2], w[:paired:2].conj())
+        ends_z = center + np.where(k[paired:] == 0, radius, -radius)
+        np.testing.assert_array_equal(z[paired:], ends_z)
+        assert abs(z - center - w * size).max() <= 4 * np.finfo(float).eps * (radius + abs(center))
+
+
+def never_called(z):
+    raise AssertionError("evaluated a node past the budget")
+
+
+@pytest.mark.parametrize("radius, nodes", [(6e5, 9_600_000), (5e5, 8_000_000)])
+def test_disk_past_node_budget_raises_before_evaluating(radius, nodes):
+    # b = 1: the first level needs 8 R nodes, and a count two levels
+    with pytest.raises(QuadratureDivergence) as info:
+        count_zeros_disk(never_called, radius, freq_scale=1.0)
+    assert f"needs {nodes} nodes for its first two levels" in str(info.value)
+    assert f"budget of {_MAX_POINTS} nodes" in str(info.value)
+
+
+def test_rectangle_past_node_budget_raises_before_evaluating():
+    region = Rectangle(0.0, 1e9, -1.0, 0.0)
+    for search in (count_zeros_rect, find_resonances):
+        with pytest.raises(QuadratureDivergence, match=f"budget of {_MAX_POINTS} nodes"):
+            search(never_called, region)
 
 
 def test_disk_zero_on_contour_located_and_attributed():
