@@ -73,26 +73,30 @@ def perm_blocks(n: int, block_size: int = _BLOCK) -> Iterator[tuple[np.ndarray, 
         yield table_parity ^ np.int8(inversions & 1), block
 
 
-def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies, signed bond-length weights, and fixed-point masks.
+def _block_terms(
+    d: np.ndarray, parity: np.ndarray, perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies, signed bond-length weights, and fixed-point masks of the
+    permutation rows `perms` (any integer dtype) with inversion parities
+    `parity`: per row the total bond length V, the weight
+    sign * prod(1/length) over moved indices, and the bitmask of fixed
+    points (int64, so N <= 63)."""
+    ar = np.arange(d.shape[0])
+    bond = d[ar, perms]
+    fixed = perms == ar
+    k1 = 1.0 / np.where(fixed, 1.0, bond).prod(axis=1)
+    return bond.sum(axis=1), np.where(parity, -k1, k1), (fixed * (1 << ar)).sum(axis=1)
 
-    For every permutation in lexicographic order: the total bond length V,
-    the weight sign * prod(1/length) over moved indices, and the bitmask of
-    fixed points.  Arrays cover all of S_N (N <= 10 keeps this desk-scale).
+
+def _block_values(d: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """V of each permutation row, summed as `_block_terms` sums it."""
+    return d[np.arange(d.shape[0]), perms].sum(axis=1)
+
+
+def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_block_terms` of every permutation, in lexicographic order.
+
+    Arrays cover all of S_N (N <= 10 keeps this desk-scale).
     """
-    n = d.shape[0]
-    ar = np.arange(n)
-    bits = 1 << ar
-    v_parts, w_parts, m_parts = [], [], []
-    for parity, perms in perm_blocks(n):
-        bond = d[ar, perms]
-        fixed = perms == ar
-        v_parts.append(bond.sum(axis=1))
-        k1 = 1.0 / np.where(fixed, 1.0, bond).prod(axis=1)
-        w_parts.append(np.where(parity, -k1, k1))
-        m_parts.append((fixed * bits).sum(axis=1))
-    return (
-        np.concatenate(v_parts),
-        np.concatenate(w_parts),
-        np.concatenate(m_parts),
-    )
+    parts = [_block_terms(d, parity, perms) for parity, perms in perm_blocks(d.shape[0])]
+    return tuple(np.concatenate(column) for column in zip(*parts))

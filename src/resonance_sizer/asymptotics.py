@@ -10,11 +10,14 @@ finite-radius slopes noisy while b_nu and V are exact combinatorial data.
 
 `classify` takes b_nu from the class certificate (`sizing.certify_top_class`)
 when V's maximizers form one edge-equivalence class clear of every other
-permutation, and expands the determinant otherwise, or when counts are asked
-for.  `genericity_scan` always expands: it reports near-cancelled frequency
-groups, which only the full expansion has.  It takes V from the same
-expansion, as the frequency of its top group (cancelled or not), whose
-cluster spread is far inside class_tol.
+permutation.  Otherwise it walks down from V (`sizing.walk_top`): it lists
+the permutations within a growing depth of V and reduces their frequency
+clusters from the top, as `expand` does, until one survives; at N <= 10
+that decides every input without the N! sweep.  It expands the determinant
+only when counts are asked for.  `genericity_scan` always expands: it
+reports near-cancelled frequency groups, which only the full expansion
+has.  It takes V from the same expansion, as the frequency of its top
+group (cancelled or not), whose cluster spread is far inside class_tol.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewCenters, TooFewPoints, TooLarge, ValidationError
-from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, expand
 from .geometry import Configuration, random_configuration, strength_values, validate_configuration
 from .permutations import MAX_ENUM_N
-from .sizing import certify_top_class, is_generic
+from .sizing import certify_top_class, is_generic, walk_top
 # Not called here; bench/selftest.py checks that its tracer rebinds this name.
 from .sizing import size_v  # noqa: F401
-from .zeros import _disk_counts
+from .zeros import _check_radii, _disk_counts
 
 DEFAULT_CLASS_TOL = 1e-8
 
@@ -44,7 +47,8 @@ class CountingReport:
     """Exact effective size vs configuration size, plus optional empirics.
 
     `class_margin` is the class certificate's margin when the certificate
-    decided b_nu, and None when the determinant expansion did.
+    decided b_nu, and None when the walk down from V or the determinant
+    expansion did.
     """
 
     b_nu: float
@@ -123,31 +127,41 @@ def classify(
     short of V by more than that.  When radii are given, the empirical
     counting function is computed and fitted (skipping radii below
     20 / b_nu by default) and pi * slope is reported as a consistency
-    estimate of the effective size.
+    estimate of the effective size.  class_tol, freq_tol and cancel_tol
+    must be finite and >= 0; radii, at least 3 of them, finite, > 0 and
+    strictly increasing.  Every input is checked before any expansion.
 
     Without radii, b_nu comes from the class certificate where it holds
-    (then N is not capped); otherwise from the expansion, which is capped
-    at N <= 10 (`TooLarge`).
+    (then N is not capped, and `class_margin` reports its margin);
+    otherwise from the walk down from V (`sizing.walk_top`, `class_margin`
+    None), which decides every input at N <= 10 and raises `TooLarge`
+    above when a level of its listing passes the cap.  With radii it comes
+    from the expansion, which the counts need (N <= 10).
     """
+    _check_tolerances(class_tol=class_tol, freq_tol=freq_tol, cancel_tol=cancel_tol)
     config = validate_configuration(config)
     a = strength_values(strengths, config.n)
     if radii is not None:
-        radii = [float(r) for r in radii]
+        radii = _check_radii(radii)
+        if len(radii) < 3:
+            raise TooFewPoints(f"need at least 3 radii to fit, got {len(radii)}")
         if skip is not None:  # before the expansion and the counts
             _check_skip(skip, len(radii))
     top = certify_top_class(config, freq_tol=freq_tol, cancel_tol=cancel_tol)
-    v = top.v
-    if radii is None and top.b_nu is not None:
+    v, margin = top.v, None
+    if radii is not None:
+        epoly, _ = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+        b_nu = epoly.effective_size
+    elif top.b_nu is not None:
         b_nu, margin = top.b_nu, top.margin
     else:
-        if radii is None and config.n > MAX_ENUM_N:
+        try:
+            b_nu = walk_top(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
+        except TooLarge as err:
             raise TooLarge(
                 f"top frequency not certified (class margin {top.margin:.3e}, "
-                f"needs > {top.threshold:.3e}), and the determinant expansion is "
-                f"capped at N <= {MAX_ENUM_N}, got N = {config.n}"
-            )
-        epoly, _ = expand(a, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
-        b_nu, margin = epoly.effective_size, None
+                f"needs > {top.threshold:.3e}), and {err}"
+            ) from None
     classification = _verdict(b_nu, v, class_tol)
     discrepancies = {"b_nu_vs_v": abs(b_nu - v) / max(1.0, v)}
 

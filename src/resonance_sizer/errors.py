@@ -39,7 +39,9 @@ class SizeMismatch(ValidationError):
 
 
 class TooLarge(ValidationError):
-    """N exceeds the hard cap for full symmetric-group enumeration."""
+    """An input exceeds a hard cap: N > 10 for full symmetric-group
+    enumeration (the expansion and the genericity test), or a level of
+    more than 10! partial permutations in the walk down from V."""
 
 
 class TooFewPoints(ValidationError):

@@ -16,6 +16,7 @@ vanishing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -322,23 +323,102 @@ def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
     return ExpoPolynomial([0.0], [coeffs])
 
 
-def _mask_polynomials(minus_4pi_a: np.ndarray) -> np.ndarray:
-    """Row m holds prod over set bits j of m of (i z - 4 pi a_j).
+def _mask_polynomials(minus_4pi_a: np.ndarray, masks=None) -> np.ndarray:
+    """Row k holds prod over set bits j of masks[k] of (i z - 4 pi a_j).
 
-    Ascending coefficients, zero-padded to N + 1 columns.  Each row is its
-    parent row (m without its highest bit) times one linear factor.
+    Ascending coefficients, zero-padded to N + 1 columns; `masks` defaults
+    to every mask 0 .. 2^N - 1, so that row m is mask m.  Each polynomial
+    is its parent's (the mask without its highest bit) times one linear
+    factor, so a row is the same double whichever masks are asked for; only
+    the masks given and their ancestors are built.
     """
     n = len(minus_4pi_a)
     factors = [np.array([c, 1j]) for c in minus_4pi_a]
-    polys = [np.array([1.0], dtype=complex)]
-    table = np.zeros((1 << n, n + 1), dtype=complex)
-    table[0, 0] = 1.0
-    for mask in range(1, 1 << n):
-        high = mask.bit_length() - 1
-        poly = np.convolve(polys[mask ^ (1 << high)], factors[high])
-        polys.append(poly)
-        table[mask, : len(poly)] = poly
+    if masks is None:
+        masks = chain = range(1 << n)
+    else:
+        ancestors = set()
+        for mask in masks:
+            while mask and mask not in ancestors:
+                ancestors.add(mask)
+                mask &= ~(1 << (mask.bit_length() - 1))
+        chain = sorted(ancestors)
+    polys = {0: np.array([1.0], dtype=complex)}
+    for mask in chain:
+        if mask:
+            high = mask.bit_length() - 1
+            polys[mask] = np.convolve(polys[mask ^ (1 << high)], factors[high])
+    table = np.zeros((len(masks), n + 1), dtype=complex)
+    for row, mask in zip(table, masks):
+        row[: len(polys[mask])] = polys[mask]
     return table
+
+
+def _check_tolerances(**tolerances: float) -> None:
+    """Raise ValidationError unless every tolerance is finite and >= 0.
+
+    A NaN or infinite freq_tol joins every frequency into one cluster, and a
+    negative or NaN tolerance turns its comparisons around, so each gives a
+    wrong verdict rather than an error."""
+    for name, value in tolerances.items():
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _cluster_starts(v: np.ndarray, freq_tol: float) -> np.ndarray:
+    """Start index of each frequency cluster of the sorted V values v:
+    single-linkage runs with gaps <= freq_tol * max(1, max V)."""
+    gaps = np.diff(v) > freq_tol * max(1.0, float(v[-1]))
+    return np.concatenate([[0], np.flatnonzero(gaps) + 1])
+
+
+def _reduce_clusters(terms: list, starts, table, cancel_tol: float):
+    """Frequency, coefficient row, pre_scale, post_scale and cancelled flag
+    of each cluster (see `expand`).
+
+    `terms` is a list [v, w, masks] of the V values, weights and
+    fixed-point mask codes of whole clusters starting at `starts`, in
+    stable sorted-V order (ties in lexicographic order of the
+    permutations); the codes index the rows of `table`
+    (`_mask_polynomials`) and increase with the mask.  The list is emptied,
+    so that each array is released as soon as it has been used (at N = 10
+    each holds 29 MB).
+
+    A zero ahead of each cluster makes every sum the one np.mean takes (0
+    plus the pairwise sum of the cluster), so each frequency is the same
+    double as the mean of its cluster.  Weights are summed per (cluster,
+    mask) in sorted-V order, then the mask polynomials are added in
+    increasing mask order; both sums are sequential, so every value
+    depends only on the cluster's own terms, and is the same double
+    whichever other clusters are reduced with it.
+    """
+    v, w, masks = terms
+    terms.clear()
+    sizes = np.diff(np.append(starts, len(v)))
+    padded_starts = starts + np.arange(len(starts))
+    freqs = np.add.reduceat(np.insert(v, starts, 0.0), padded_starts) / sizes
+    freqs[v[starts] == 0.0] = 0.0
+    del v
+
+    peaks = np.abs(table).max(axis=1)
+    pre_scale = np.maximum.reduceat(np.abs(w) * peaks[masks], starts)
+
+    width = (len(table) - 1).bit_length()  # bits of the largest code
+    group = np.repeat(np.arange(len(starts)), sizes)
+    keys, inverse = np.unique((group << width) | masks, return_inverse=True)
+    del group, masks
+    weight_sums = np.bincount(inverse, weights=w, minlength=len(keys))
+    del inverse, w
+    key_group, key_mask = keys >> width, keys & ((1 << width) - 1)
+    del keys
+    coeffs = np.empty((len(starts), table.shape[1]), dtype=complex)
+    for p in range(table.shape[1]):
+        products = weight_sums * table[key_mask, p]
+        coeffs.real[:, p] = np.bincount(key_group, products.real, minlength=len(starts))
+        coeffs.imag[:, p] = np.bincount(key_group, products.imag, minlength=len(starts))
+    post_scale = np.abs(coeffs).max(axis=1)
+    cancelled = (freqs > 0.0) & (post_scale <= cancel_tol * pre_scale)
+    return freqs, coeffs, pre_scale, post_scale, cancelled
 
 
 def expand(
@@ -355,61 +435,29 @@ def expand(
     reproducible); a cluster is pruned as cancelled when its summed
     coefficients all fall below cancel_tol times the largest pre-sum
     coefficient magnitude.  The zero-frequency group always survives: its
-    polynomial is prod_j (i z - 4 pi a_j), of degree exactly N.
+    polynomial is prod_j (i z - 4 pi a_j), of degree exactly N.  freq_tol
+    and cancel_tol must be finite and >= 0.
 
-    All clusters are reduced in one vectorized pass.  Weights are summed
-    per (cluster, fixed-point mask) in sorted-V order, then the mask
-    polynomials are added in increasing mask order; both sums are
-    sequential, so every coefficient is the same double as when the
-    clusters are summed one at a time.
+    All clusters are reduced in one vectorized pass (`_reduce_clusters`,
+    which `sizing.walk_top` runs on the clusters near the top).
     """
+    _check_tolerances(freq_tol=freq_tol, cancel_tol=cancel_tol)
     config = validate_configuration(config)
     if config.n > MAX_ENUM_N:
         raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {config.n}")
     a = strength_values(strengths, config.n)
-    n = config.n
 
     # Per-term arrays are N! long (3.6M at N = 10), so each is released as
-    # soon as it has been used.
+    # soon as it has been used; _reduce_clusters takes the last references.
     v, w, masks = _sweep.term_arrays(distance_matrix(config))
     order = np.argsort(v, kind="stable")
-    v, w, masks = v[order], w[order], masks[order]
-    del order
-    tol_abs = freq_tol * max(1.0, float(v[-1]))
-    gaps = np.diff(v) > tol_abs
-    starts = np.concatenate([[0], np.flatnonzero(gaps) + 1])
-    sizes = np.diff(np.append(starts, len(v)))
-    group = np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
-    del gaps
-
-    # A zero ahead of each cluster makes every sum the one np.mean takes
-    # (0 plus the pairwise sum of the cluster), so each frequency is the
-    # same double as the mean of its cluster.
-    padded_starts = starts + np.arange(len(starts))
-    freqs = np.add.reduceat(np.insert(v, starts, 0.0), padded_starts) / sizes
-    freqs[v[starts] == 0.0] = 0.0
-    del v
-
+    terms = [v[order], w[order], masks[order]]
+    del v, w, masks, order
+    starts = _cluster_starts(terms[0], freq_tol)
     table = _mask_polynomials(-4 * np.pi * a)
-    peaks = np.abs(table).max(axis=1)
-    pre_scale = np.maximum.reduceat(np.abs(w) * peaks[masks], starts)
-
-    keys, inverse = np.unique((group << n) | masks, return_inverse=True)
-    del group, masks
-    weight_sums = np.bincount(inverse, weights=w, minlength=len(keys))
-    del inverse, w
-    key_group, key_mask = keys >> n, keys & ((1 << n) - 1)
-    coeffs = np.empty((len(starts), n + 1), dtype=complex)
-    for p in range(n + 1):
-        products = weight_sums * table[key_mask, p]
-        coeffs.real[:, p] = np.bincount(key_group, products.real, minlength=len(starts))
-        coeffs.imag[:, p] = np.bincount(key_group, products.imag, minlength=len(starts))
-    # released before the constructor copies coeffs (at N = 10 these hold
-    # about 170 MB, the copy about 250 MB)
-    del keys, weight_sums, key_group, key_mask, products
-    post_scale = np.abs(coeffs).max(axis=1)
-
-    cancelled = (freqs > 0.0) & (post_scale <= cancel_tol * pre_scale)
+    freqs, coeffs, pre_scale, post_scale, cancelled = _reduce_clusters(
+        terms, starts, table, cancel_tol
+    )
     report = CancellationReport(
         _GroupColumns(freqs, pre_scale, post_scale, cancelled),
         tuple(freqs[cancelled].tolist()),

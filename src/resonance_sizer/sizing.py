@@ -26,6 +26,13 @@ bonds is the class margin.  When the margin clears the expansion's
 frequency clustering, the top cluster of `expand` is exactly sigma's class
 (`permutations._class_members`), all of one sign, bond weight and
 fixed-point set, so the cluster cannot cancel (`certify_top_class`).
+
+Where the certificate fails (ties, even cycles, cancelled tops), the
+assignment duals still bound the walk down from V: every reduced cost
+u[j] + w[k] - d[j, k] is >= 0, and a permutation's reduced costs add up to
+its deficit.  A branch and bound lists the permutations within a depth of
+V, and `expand`'s own clustering and reduction run on them from the top
+(`walk_top`), deepening while every closed cluster cancels.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL
-from .geometry import Configuration, distance_matrix, validate_configuration
-from .permutations import ClassRepresentatives, _class_members, _cycles, _has_even_cycle
-from .permutations import enumerate_classes
+from . import _sweep
+from .errors import TooLarge
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, _cluster_starts
+from .expoly import _mask_polynomials, _reduce_clusters
+from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
+from .permutations import MAX_ENUM_N, ClassRepresentatives, _class_members, _cycles
+from .permutations import _has_even_cycle, enumerate_classes
 
 # Relative tolerance for genericity gaps: two class representatives whose V
 # values differ by at most gap_tol * max(1, V) count as tied.  It protects
@@ -61,6 +70,17 @@ _VALUE_BLOCK = 1 << 12
 # Most cycles of length >= 3 `certify_top_class` lists a class for (2^12
 # members); at N <= 10 a maximizer has at most 3.
 _MAX_LONG_CYCLES = 12
+# Rows one level of `walk_top` may hold: 10!, as many as the S_N sweep
+# holds.  Level i holds partial permutations of length i, at most
+# N! / (N - i)! of them, so at N <= 10 no level reaches the cap.
+_WALK_CAP = math.factorial(MAX_ENUM_N)
+# Rows `walk_top` extends or sums at once: each temporary of a block holds
+# at most 4,096 x 63 doubles (2 MB).
+_WALK_BLOCK = 1 << 12
+# Factor by which `walk_top` deepens while every closed cluster cancels.
+_WALK_GROWTH = 2.0
+# The fixed-point masks of `_sweep._block_terms` are int64 bitmasks.
+_WALK_MAX_N = 63
 
 
 @dataclass(frozen=True)
@@ -224,7 +244,9 @@ def certify_top_class(
     over the distance-matrix row picks, the values sorted, and one
     `np.add.reduceat` with a leading zero, divided by the class size; so it
     is the same double as `expand`'s.  O(N^3), and N is not capped.
+    freq_tol and cancel_tol must be finite and >= 0.
     """
+    _check_tolerances(freq_tol=freq_tol, cancel_tol=cancel_tol)
     d = distance_matrix(config)
     n = len(d)
     v, image, _, _ = _assignment(d)
@@ -240,6 +262,175 @@ def certify_top_class(
     values = np.sort(d[np.arange(n), members].sum(axis=1))
     b_nu = np.add.reduceat(np.insert(values, 0, 0.0), [0])[0] / len(values)
     return ClassCertificate(v, margin, threshold, float(b_nu))
+
+
+def walk_top(
+    strengths,
+    config: Configuration,
+    freq_tol: float = DEFAULT_FREQ_TOL,
+    cancel_tol: float = DEFAULT_CANCEL_TOL,
+) -> float:
+    """`expand(strengths, config, freq_tol, cancel_tol)`'s effective size from
+    the permutations near the top of V, without the N! sweep.
+
+    With (u, w) the assignment duals, every reduced cost
+    u[j] + w[k] - d[j, k] is >= 0, and the reduced costs of a permutation's
+    bonds add up to its deficit V - V_sigma.  `_near_top` lists every
+    permutation of deficit <= depth, in lexicographic order, the tie order
+    of `expand`'s stable sort.  Their V values, summed by `_sweep`'s block
+    code, are sorted stably and clustered by `expand`'s gap rule.  A cluster is
+    closed, that is `expand` has the same one, when its lowest V less
+    freq_tol * max(1, max V) lies above V - depth; the rounding slack
+    64 * N * eps * max(1, V) widens both the listing and this test.  Closed
+    clusters are reduced from the top, a block of rows at a time, by
+    `expand`'s own `_reduce_clusters`, with mask polynomials built only for
+    the masks present; the first that does not cancel gives b_nu, the same
+    double as `expand`'s.  While every closed cluster cancels, depth
+    doubles, or grows to the least cost the listing pruned if that is more.
+    The identity's cluster never cancels, so at N <= 10, where no level of
+    the listing reaches its cap, every input is decided.  Above N = 10 a
+    level past the cap raises TooLarge, and so does N > 63.  freq_tol and
+    cancel_tol must be finite and >= 0.
+    """
+    _check_tolerances(freq_tol=freq_tol, cancel_tol=cancel_tol)
+    config = validate_configuration(config)
+    minus_4pi_a = -4 * np.pi * strength_values(strengths, config.n)
+    d = distance_matrix(config)
+    n = len(d)
+    if n > _WALK_MAX_N:
+        raise TooLarge(
+            f"the walk down from V is capped at N <= {_WALK_MAX_N} (int64 fixed-point "
+            f"masks), got N = {n}"
+        )
+    v, _, u, w = _assignment(d)
+    reduced = u[:, None] + w - d
+    slack = _MARGIN_SLACK * n * np.finfo(float).eps * max(1.0, v)
+    depth = _WALK_GROWTH * (freq_tol * max(1.0, v) + slack)
+    while True:
+        rows, beyond = _near_top(reduced, depth + slack)
+        # a listing that pruned nothing holds every permutation: all closed
+        closed_above = v - depth + slack if beyond < math.inf else -math.inf
+        b_nu = _top_survivor(d, rows, closed_above, minus_4pi_a, freq_tol, cancel_tol)
+        if b_nu is not None:
+            return b_nu
+        del rows  # before the deeper listing is built
+        # no permutation lies between the listing and its least pruned bound
+        depth = max(depth * _WALK_GROWTH, beyond)
+
+
+def _top_survivor(d, rows, closed_above, minus_4pi_a, freq_tol, cancel_tol) -> float | None:
+    """Frequency of the highest cluster of the listed permutations `rows`
+    that is closed (its lowest V less freq_tol * max(1, max V) is above
+    `closed_above`) and does not cancel; None when every closed cluster
+    cancels.
+
+    The V values are sorted stably and clustered as `expand` does; closed
+    clusters are reduced from the top, whole, about a block of rows at a
+    time."""
+    values = np.empty(len(rows))
+    for lo, block in zip(range(0, len(rows), _WALK_BLOCK), _blocks(rows)):
+        values[lo : lo + len(block)] = _sweep._block_values(d, block)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = _cluster_starts(values, freq_tol)
+    lows = values[starts] - freq_tol * max(1.0, float(values[-1]))
+    ends = np.append(starts[1:], len(values))
+    del values  # each chunk sums its own again, to the same doubles
+    first = int(np.searchsorted(lows, closed_above, side="right"))
+    top = len(starts) - 1
+    while top >= first:
+        low = min(top, max(first, int(np.searchsorted(starts, ends[top] - _WALK_BLOCK))))
+        values, weights, masks = _terms(d, rows[order[starts[low] : ends[top]]])
+        present, codes = np.unique(masks, return_inverse=True)
+        freqs, _, _, _, cancelled = _reduce_clusters(
+            [values, weights, codes],
+            starts[low : top + 1] - starts[low],
+            _mask_polynomials(minus_4pi_a, present.tolist()),
+            cancel_tol,
+        )
+        alive = np.flatnonzero(~cancelled)
+        if len(alive):
+            return float(freqs[alive[-1]])
+        top = low - 1
+    return None
+
+
+def _terms(d: np.ndarray, perms: np.ndarray) -> list[np.ndarray]:
+    """`_sweep._block_terms` of permutation rows, a block at a time."""
+    parts = [_sweep._block_terms(d, _parities(block), block) for block in _blocks(perms)]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _blocks(rows: np.ndarray):
+    """Consecutive slices of `_WALK_BLOCK` rows."""
+    return (rows[lo : lo + _WALK_BLOCK] for lo in range(0, len(rows), _WALK_BLOCK))
+
+
+def _parities(perms: np.ndarray) -> np.ndarray:
+    """Inversion-count parity (0 even, 1 odd) of each permutation row."""
+    inversions = np.zeros(len(perms), dtype=np.int64)
+    for j in range(perms.shape[1] - 1):
+        inversions += (perms[:, j + 1 :] < perms[:, j, None]).sum(axis=1)
+    return inversions & 1
+
+
+def _near_top(reduced: np.ndarray, limit: float) -> tuple[np.ndarray, float]:
+    """Every permutation whose reduced costs add up to at most `limit`, as
+    rows of images in lexicographic order, in the smallest unsigned dtype
+    that holds N - 1, and the least bound pruned (inf when none was): every
+    permutation not listed costs at least that much.
+
+    Branch and bound, one row at a time: level i holds the partial images
+    of rows 0 .. i - 1 that may complete within the limit.  The bound of a
+    partial image is its running cost plus, for each column still free,
+    the least reduced cost any row still to come has there; no reduced
+    cost is negative (up to rounding), so a row past the limit has no
+    completion within it.  Each level is counted block by block, as
+    block-local picks of (parent, column), before it is allocated; a level
+    of more than `_WALK_CAP` rows raises TooLarge.
+    """
+    n = len(reduced)
+    # floors[i, k]: least reduced cost in column k over rows i .. N - 1
+    floors = np.zeros((n + 1, n))
+    floors[:n] = np.minimum.accumulate(reduced[::-1], axis=0)[::-1]
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(n - 1))
+    costs = np.zeros(1)
+    beyond = np.inf
+    for i in range(n):
+        floor = floors[i + 1]
+        picks, total = [], 0
+        for lo, parents in zip(range(0, len(rows), _WALK_BLOCK), _blocks(rows)):
+            cand = costs[lo : lo + _WALK_BLOCK, None] + reduced[i]
+            cand[np.arange(len(parents))[:, None], parents] = np.inf  # images taken
+            rest = floor.sum() - floor[parents].sum(axis=1)
+            bound = cand + (rest[:, None] - floor)
+            inside = bound <= limit
+            beyond = min(beyond, np.min(bound, where=~inside, initial=np.inf))
+            flat = np.flatnonzero(inside)
+            total += len(flat)
+            if total <= _WALK_CAP:
+                picks.append((lo, flat.astype(np.int32)))
+        if total > _WALK_CAP:
+            raise TooLarge(
+                f"the walk down from V needs {total:,} rows at level {i + 1} of {n} "
+                f"(depth {limit:.3e}), past its cap of {_WALK_CAP:,} rows per level"
+            )
+        last = i + 1 == n
+        if last:
+            del costs  # the permutations need no running costs
+        grown = np.empty((total, i + 1), dtype=rows.dtype)
+        grown_costs = None if last else np.empty(total)
+        at = 0
+        for lo, flat in picks:
+            parent, column = np.divmod(flat, n)
+            parent += lo
+            grown[at : at + len(flat), :i] = rows[parent]
+            grown[at : at + len(flat), i] = column
+            if not last:
+                grown_costs[at : at + len(flat)] = costs[parent] + reduced[i, column]
+            at += len(flat)
+        rows, costs = grown, grown_costs
+    return rows, float(beyond)
 
 
 def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
@@ -292,8 +483,7 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     of class values in their stable order (`_closest_pair`): one sort of
     the values, after one gather per block of representatives.
     """
-    if not 0 <= gap_tol < math.inf:
-        raise ValidationError(f"gap_tol must be finite and >= 0, got {gap_tol}")
+    _check_tolerances(gap_tol=gap_tol)
     reps, values = representative_values(config)
     tol = gap_tol * max(1.0, float(values.max()))
     first, second, min_gap = _closest_pair(values)

@@ -306,17 +306,28 @@ def counting_function(
     """Zero counts of the expanded determinant in disks |z| < R.
 
     Radii must be strictly increasing; counts are nondecreasing since the
-    disks are nested.
+    disks are nested.  Radii are checked before the expansion
+    (`_check_radii`).
     """
+    radii = _check_radii(radii)
     epoly, _ = expand(strengths, config, freq_tol=freq_tol, cancel_tol=cancel_tol)
     return _disk_counts(epoly, radii)
 
 
-def _disk_counts(epoly, radii) -> list[ZeroCount]:
-    """counting_function's disk counts on an expansion the caller already
-    made, so that classify sweeps S_N once."""
+def _check_radii(radii) -> list[float]:
+    """The radii as floats; ValidationError unless each is finite and > 0
+    and they strictly increase."""
     radii = [float(r) for r in radii]
+    if not all(0 < r < math.inf for r in radii):
+        raise ValidationError(f"radii must be finite and > 0, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly increasing")
+    return radii
+
+
+def _disk_counts(epoly, radii) -> list[ZeroCount]:
+    """counting_function's disk counts on an expansion the caller already
+    made, so that classify sweeps S_N once; the caller has checked the
+    radii (`_check_radii`)."""
     scale = max(epoly.effective_size, 1e-3)
     return [count_zeros_disk(epoly.value_and_derivative, r, freq_scale=scale) for r in radii]

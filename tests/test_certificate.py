@@ -1,7 +1,8 @@
 """The class certificate: `classify` without the N! expansion.
 
 Where `sizing.certify_top_class` certifies, its b_nu must be the same double
-as `expand`'s effective size; where it does not, `classify` must expand.
+as `expand`'s effective size; where it does not, `classify` walks down from
+V (`tests/test_walk.py`).
 """
 
 import itertools
@@ -158,18 +159,18 @@ def test_classify_skips_expand_when_certified(expand_calls):
     assert expand_calls == []
 
 
-def test_classify_expands_collinear_once(expand_calls):
+def test_classify_walks_collinear_without_expand(expand_calls):
     report = classify(np.zeros(8), validate_configuration(SHAPES["collinear"]))
-    assert len(expand_calls) == 1
+    assert expand_calls == []
     assert report.classification == "Weyl"
     assert report.b_nu == 32.0
     assert report.class_margin is None
 
 
-def test_classify_expands_double_disphenoid_once(expand_calls):
+def test_classify_walks_double_disphenoid_without_expand(expand_calls):
     a = _strengths(np.random.default_rng(701), 8)
     report = classify(a, validate_configuration(SHAPES["double-disphenoid"]))
-    assert len(expand_calls) == 1
+    assert expand_calls == []
     assert report.classification == "NonWeyl"
     assert report.b_nu == pytest.approx(DOUBLE_DISPHENOID_B_NU, rel=1e-12)
     assert report.class_margin is None
@@ -186,6 +187,10 @@ def test_classify_large_n_certified_fast():
 
 
 def test_classify_uncertified_large_n_raises():
-    cfg = validate_configuration([(float(k), 0.0, 0.0) for k in range(12)])
-    with pytest.raises(TooLarge, match=r"not certified.*capped at N <= 10"):
-        classify(np.zeros(12), cfg)
+    # 14 equally spaced points tie (7!)^2 permutations at the top; the walk's
+    # level 11 holds 7! * 7 * 6 * 5 * 4 of their partial images
+    cfg = validate_configuration([(float(k), 0.0, 0.0) for k in range(14)])
+    with pytest.raises(
+        TooLarge, match=r"not certified.* needs 4,233,600 rows .* cap of 3,628,800 rows per level"
+    ):
+        classify(np.zeros(14), cfg)

@@ -262,13 +262,29 @@ def test_classify_above_enumeration_cap(tmp_path, capsys):
 
 
 def test_classify_uncertified_above_cap_exits_2(tmp_path, capsys):
-    centers = [[float(k), 0.0, 0.0] for k in range(12)]
-    path = write_config(tmp_path, centers=centers, strengths=[0.0] * 12)
+    centers = [[float(k), 0.0, 0.0] for k in range(14)]
+    path = write_config(tmp_path, centers=centers, strengths=[0.0] * 14)
     rc, out, err = run(capsys, "classify", "--config", path)
     assert rc == 2
     assert out == ""
     assert "not certified" in err
-    assert "capped at N <= 10" in err
+    assert "needs 4,233,600 rows" in err
+    assert "cap of 3,628,800 rows per level" in err
+
+
+def test_classify_decides_uncertified_shape_above_ten(tmp_path, capsys):
+    # three tetragonal disphenoids 5 apart: V's maximizers tie, and the walk
+    # down from V finds the top frequency cancelled
+    one = np.array([[0.3, 0, 0], [-0.3, 0, 0], [0, 0.3, 1], [0, -0.3, 1]])
+    centers = np.vstack([one + [5.0 * k, 0, 0] for k in range(3)]).tolist()
+    path = write_config(tmp_path, centers=centers, strengths=[0.0] * 12)
+    rc, out, _ = run(capsys, "classify", "--config", path)
+    assert rc == 0
+    data = json.loads(out)
+    assert data["classification"] == "NonWeyl"
+    assert data["b_nu"] < data["v"]
+    assert data["class_margin"] is None
+    assert data["is_generic"] is None
 
 
 def test_count_csv(tmp_path, capsys):
