@@ -17,10 +17,10 @@ from .errors import (
     ResonanceSizerError,
     ValidationError,
 )
-from .expoly import CancellationReport, ExpoPolynomial, expand, zero_frequency_polynomial
+from .expoly import CancellationReport, ExpoPolynomial, expand
 from .gammadet import determinant_direct, gamma_matrix
 from .geometry import Configuration, distance_matrix, random_configuration, validate_configuration
-from .permutations import ClassRepresentatives, enumerate_classes
+from .permutations import enumerate_classes
 from .sizing import GenericityReport, SizeReport, is_generic, size_v
 from .zeros import (
     Rectangle,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CancellationReport",
-    "ClassRepresentatives",
     "Configuration",
     "ContourThroughZero",
     "CountingReport",
@@ -64,5 +63,4 @@ __all__ = [
     "random_configuration",
     "size_v",
     "validate_configuration",
-    "zero_frequency_polynomial",
 ]

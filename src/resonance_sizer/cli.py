@@ -21,7 +21,7 @@ import numpy as np
 from .asymptotics import DEFAULT_CLASS_TOL, genericity_scan
 from .asymptotics import classify as classify_report
 from .errors import NumericalError, ValidationError
-from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand, zero_frequency_polynomial
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
 from .geometry import Configuration, distance_matrix, validate_configuration
 from .permutations import MAX_ENUM_N
 from .sizing import DEFAULT_GAP_TOL, is_generic
@@ -278,12 +278,8 @@ def cmd_resonances(args) -> int:
     rc = load_run_config(args.config)
     if rc.region is None:
         raise ValidationError("resonances requires a 'region' in the config")
-    if args.p0_only:
-        epoly = zero_frequency_polynomial(rc.strengths)
-        freq_scale = 1.0
-    else:
-        epoly, _ = _expand(rc)
-        freq_scale = max(epoly.effective_size, 1e-3)
+    epoly, _ = _expand(rc)
+    freq_scale = max(epoly.effective_size, 1e-3)
     found = find_resonances(epoly.value_and_derivative, rc.region, freq_scale=freq_scale)
     rows = [
         {
@@ -373,11 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", help="locate zeros in the configured region")
     add_config(p)
     p.add_argument("--csv", action="store_true", help="CSV rows instead of JSON")
-    p.add_argument(
-        "--p0-only",
-        action="store_true",
-        help="synthetic mode: use only the zero-frequency polynomial",
-    )
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("scan", help="randomized genericity scan")

@@ -40,8 +40,9 @@ class SizeMismatch(ValidationError):
 
 class TooLarge(ValidationError):
     """An input exceeds a hard cap: N > 10 for full symmetric-group
-    enumeration (the expansion and the genericity test), or a level of
-    more than 10! partial permutations in the walk down from V."""
+    enumeration (the expansion and the genericity test); in the walk down
+    from V, a level of more than 10! partial permutations, or N > 63 (its
+    fixed-point masks are int64 bitmasks)."""
 
 
 class TooFewPoints(ValidationError):

@@ -21,10 +21,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _sweep
-from .errors import TooLarge, ValidationError
+from .errors import NumericalError, TooLarge, ValidationError
 from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
 from .permutations import MAX_ENUM_N
 
@@ -110,7 +109,9 @@ class ExpoPolynomial:
     Construction from a frequency sequence and matching coefficient rows
     (a matrix, or a list of sequences of any lengths) sorts stably, merges
     exactly-equal frequencies, drops zero rows and trims trailing zero
-    columns.  With no arguments it is the zero form, with no terms.
+    columns.  Frequencies must be finite and >= 0, coefficients finite
+    (ValidationError otherwise).  With no arguments it is the zero form,
+    with no terms.
     """
 
     __slots__ = ("_freqs", "_coeffs", "_terms", "_table")
@@ -118,9 +119,15 @@ class ExpoPolynomial:
     def __init__(self, frequencies=(), coefficients=()):
         freqs = np.asarray(frequencies, dtype=float).reshape(-1)
         coeffs = _coefficient_matrix(coefficients, len(freqs))
+        if not np.isfinite(freqs).all():
+            raise ValidationError("frequencies must be finite")
+        if not np.isfinite(coeffs).all():
+            raise ValidationError("coefficients must be finite")
         if np.any(freqs[1:] < freqs[:-1]):
             order = np.argsort(freqs, kind="stable")
             freqs, coeffs = freqs[order], coeffs[order]
+        if len(freqs) and freqs[0] < 0.0:
+            raise ValidationError(f"frequencies must be >= 0, got {freqs[0]}")
         starts = np.flatnonzero(np.concatenate([[True], freqs[1:] != freqs[:-1]]))
         if len(starts) < len(freqs):
             coeffs = np.add.reduceat(coeffs, starts)
@@ -175,8 +182,6 @@ class ExpoPolynomial:
     def evaluate(self, z):
         """Evaluate at a complex point or array."""
         return self.value_and_derivative(z)[0]
-
-    __call__ = evaluate
 
     def value_and_derivative(self, z):
         """D(z) and D'(z) at a complex point or array, sharing every exponential.
@@ -311,18 +316,6 @@ def _row_lengths(coeffs: np.ndarray) -> np.ndarray:
     return np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 0)
 
 
-def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
-    """The zero-frequency part prod_j (i z - 4 pi a_j) as a one-term form.
-
-    Its zeros sit at -4 pi i a_j; handy as a synthetic test signal.
-    """
-    a = strength_values(strengths)
-    coeffs = np.array([1.0], dtype=complex)
-    for aj in a:
-        coeffs = npoly.polymul(coeffs, np.array([-4 * np.pi * aj, 1j]))
-    return ExpoPolynomial([0.0], [coeffs])
-
-
 def _mask_polynomials(minus_4pi_a: np.ndarray, masks=None) -> np.ndarray:
     """Row k holds prod over set bits j of masks[k] of (i z - 4 pi a_j).
 
@@ -436,7 +429,8 @@ def expand(
     coefficients all fall below cancel_tol times the largest pre-sum
     coefficient magnitude.  The zero-frequency group always survives: its
     polynomial is prod_j (i z - 4 pi a_j), of degree exactly N.  freq_tol
-    and cancel_tol must be finite and >= 0.
+    and cancel_tol must be finite and >= 0.  Coefficients past double
+    precision (strengths too large) raise NumericalError.
 
     All clusters are reduced in one vectorized pass (`_reduce_clusters`,
     which `sizing.walk_top` runs on the clusters near the top).
@@ -464,6 +458,12 @@ def expand(
         freq_tol,
         cancel_tol,
     )
+    # a coefficient that is inf or NaN makes its row's post_scale inf or NaN
+    if not post_scale.max() < math.inf:
+        raise NumericalError(
+            "the expansion's coefficients overflow double precision "
+            f"(largest |4 pi a_j| is {np.abs(4 * np.pi * a).max():.3g})"
+        )
     # the constructor drops zero polynomials, so this prunes cancelled groups
     coeffs[cancelled] = 0.0
     return ExpoPolynomial(freqs, coeffs), report

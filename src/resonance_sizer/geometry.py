@@ -59,9 +59,6 @@ class Configuration:
     def n(self) -> int:
         return self.centers.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def validate_configuration(raw) -> Configuration:
     """Build a Configuration from raw point triples, or raise.
@@ -96,14 +93,6 @@ def distance_matrix(config: Configuration) -> np.ndarray:
     """Symmetric N x N matrix of pairwise Euclidean distances, zero diagonal."""
     config = validate_configuration(config)
     return _pairwise_distances(config.centers)
-
-
-def scale_configuration(config: Configuration, c: float) -> Configuration:
-    """Scale every center by c > 0; distances scale linearly."""
-    if not (c > 0):
-        raise NonpositiveScale(f"scale factor must be positive, got {c}")
-    config = validate_configuration(config)
-    return Configuration(config.centers * float(c))
 
 
 def random_configuration(

@@ -9,12 +9,12 @@ sigma has 2^k members for k cycles of length >= 3.  This module alone
 holds that rule.  Inverting such a cycle changes sigma first at the
 cycle's smallest element m, so the lexicographically smallest member of a
 class has sigma(m) < sigma^-1(m) on each of them: the canonical orientation.
+`enumerate_classes` keeps only those canonical rows, not the class sizes:
+genericity compares the representatives' V values, whatever the sizes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,23 +24,6 @@ from .errors import TooLarge, ValidationError
 
 # Hard cap for full S_N enumeration (10! = 3,628,800 permutations).
 MAX_ENUM_N = 10
-
-
-@dataclass(frozen=True, eq=False)
-class ClassRepresentatives:
-    """One representative per edge-equivalence class of S_N.
-
-    `images` is a read-only (classes, N) int8 array, row k holding the
-    0-based images of the k-th representative; `class_sizes[k]` is the
-    size of its class.
-    """
-
-    images: np.ndarray
-    class_sizes: tuple[int, ...]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.images)
 
 
 def _cycles(image) -> list[list[int]]:
@@ -77,15 +60,16 @@ def _class_members(image) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def enumerate_classes(n: int) -> ClassRepresentatives:
-    """Partition S_N into edge-equivalence classes, each represented by its
-    member in canonical orientation, its lexicographically smallest.  The
-    sweep over S_N is lexicographic, so its canonical rows come in order."""
+def enumerate_classes(n: int) -> np.ndarray:
+    """One representative per edge-equivalence class of S_N, its member in
+    canonical orientation (its lexicographically smallest), as a read-only
+    (classes, N) int8 array of 0-based images.  The sweep over S_N is
+    lexicographic, so its canonical rows come in order."""
     if n < 2:
         raise ValidationError(f"need N >= 2, got {n}")
     if n > MAX_ENUM_N:
         raise TooLarge(f"full S_N enumeration capped at N <= {MAX_ENUM_N}, got {n}")
-    image_blocks, size_blocks = [], []
+    image_blocks = []
     for _, block in _sweep.perm_blocks(n):
         flat = np.arange(block.size)
         # sigma on the flattened block: entry r*n + j holds r*n + sigma_r(j)
@@ -97,15 +81,10 @@ def enumerate_classes(n: int) -> ClassRepresentatives:
             np.minimum(low, step, out=low)
         pred = np.empty_like(succ)
         pred[succ] = flat
-        # at a cycle's smallest element m, sigma(m) - sigma^-1(m) is 0 on
-        # cycles of length <= 2, < 0 in canonical orientation, > 0 otherwise
-        ahead = np.where(low == flat, succ - pred, 0).reshape(block.shape)
-        keep = (ahead <= 0).all(axis=1)
-        image_blocks.append(block[keep].astype(np.int8))
-        # int8 holds 2^3, the largest class at N <= 10
-        size_blocks.append(np.left_shift(1, (ahead[keep] < 0).sum(axis=1, dtype=np.int8)))
+        # canonical: sigma(m) <= sigma^-1(m) at each cycle's smallest
+        # element m (equal on cycles of length <= 2)
+        canonical = ((low != flat) | (succ <= pred)).reshape(block.shape)
+        image_blocks.append(block[canonical.all(axis=1)].astype(np.int8))
     images = np.concatenate(image_blocks)
     images.setflags(write=False)
-    sizes = tuple(np.concatenate(size_blocks).tolist())
-    assert sum(sizes) == math.factorial(n)
-    return ClassRepresentatives(images, sizes)
+    return images

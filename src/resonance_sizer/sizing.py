@@ -8,8 +8,9 @@ Hungarian method) in plain Python and returns the assignment duals with
 it, so numpy is the only dependency.  A configuration is generic when the
 representatives of the edge-equivalence classes (`permutations` holds the
 class rule) have pairwise distinct V; generic configurations always have
-Weyl-type counting asymptotics.  `is_generic` tests it with one gather of
-the class values per block of representatives and one unstable sort,
+Weyl-type counting asymptotics.  Only the representatives are needed, not
+the class sizes: `is_generic` indexes the `enumerate_classes` array with one
+gather of the class values per block of rows and does one unstable sort,
 from which the closest pair of the values' stable order is read off
 exactly (`_closest_pair`).
 
@@ -47,7 +48,7 @@ from .errors import TooLarge
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, _cluster_starts
 from .expoly import _mask_polynomials, _reduce_clusters
 from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
-from .permutations import MAX_ENUM_N, ClassRepresentatives, _class_members, _cycles
+from .permutations import MAX_ENUM_N, _class_members, _cycles
 from .permutations import _has_even_cycle, enumerate_classes
 
 # Relative tolerance for genericity gaps: two class representatives whose V
@@ -97,7 +98,7 @@ class GenericityReport:
     """Pairwise separation of V over edge-equivalence class representatives.
 
     `witness_pair` holds the 0-based images of the two representatives
-    whose V values are closest, each a row of `enumerate_classes(N).images`.
+    whose V values are closest, each a row of `enumerate_classes(N)`.
     """
 
     is_generic: bool
@@ -433,9 +434,10 @@ def _near_top(reduced: np.ndarray, limit: float) -> tuple[np.ndarray, float]:
     return rows, float(beyond)
 
 
-def representative_values(config: Configuration) -> tuple[ClassRepresentatives, np.ndarray]:
-    """V of every edge-equivalence class representative, summed one block
-    of representatives at a time (each row still summed alone).
+def representative_values(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """The class representatives (`enumerate_classes`) and the V of each,
+    summed one block of representatives at a time (each row still summed
+    alone).
 
     Each block gathers its bond lengths in one `take` from the flattened
     distance matrix, at flat index N * j + sigma(j)."""
@@ -443,10 +445,10 @@ def representative_values(config: Configuration) -> tuple[ClassRepresentatives, 
     n = len(d)
     reps = enumerate_classes(n)
     row_starts = np.arange(0, n * n, n)
-    values = np.empty(reps.n_classes)
-    for start in range(0, reps.n_classes, _VALUE_BLOCK):
+    values = np.empty(len(reps))
+    for start in range(0, len(reps), _VALUE_BLOCK):
         rows = slice(start, start + _VALUE_BLOCK)
-        d.take(reps.images[rows] + row_starts).sum(axis=1, out=values[rows])
+        d.take(reps[rows] + row_starts).sum(axis=1, out=values[rows])
     return reps, values
 
 
@@ -487,5 +489,5 @@ def is_generic(config: Configuration, gap_tol: float = DEFAULT_GAP_TOL) -> Gener
     reps, values = representative_values(config)
     tol = gap_tol * max(1.0, float(values.max()))
     first, second, min_gap = _closest_pair(values)
-    witness = (tuple(reps.images[first].tolist()), tuple(reps.images[second].tolist()))
+    witness = (tuple(reps[first].tolist()), tuple(reps[second].tolist()))
     return GenericityReport(min_gap > tol, min_gap, witness, tol)

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from resonance_sizer import distance_matrix, validate_configuration
+from resonance_sizer import Configuration, distance_matrix, validate_configuration
 
 # Tetragonal disphenoid: three fixed-point-free permutation classes tie at
 # the top frequency V = 4 * side and their weights cancel for every choice
@@ -105,6 +105,11 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, [0, 1]] = q[:, [1, 0]]
     return q
+
+
+def scale_configuration(config, c):
+    """Every center multiplied by c > 0: distances scale by c."""
+    return Configuration(config.centers * c)
 
 
 def apply_rigid_motion(config, rng):

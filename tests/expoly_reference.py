@@ -11,7 +11,8 @@ the slowest, most literal reading of the Leibniz expansion.
 `derivative` did before the fused value-and-derivative kernel.
 `value_and_derivative_reference` is that fused kernel as it was before
 points with equal real parts shared one phase row: one complex exp per
-point and frequency.
+point and frequency.  `zero_frequency_polynomial` builds the zero-frequency
+part prod_j (i z - 4 pi a_j) alone, whose zeros are known in closed form.
 
 Run as `python -m tests.expoly_reference CONFIG.json`, it compares the
 installed kernel with that oracle on the first two levels of a circle
@@ -92,6 +93,15 @@ def leibniz_terms(strengths, config: Configuration) -> list[LeibnizTerm]:
             )
         )
     return terms
+
+
+def zero_frequency_polynomial(strengths) -> ExpoPolynomial:
+    """The zero-frequency part prod_j (i z - 4 pi a_j) as a one-term form,
+    one polynomial product per factor; its zeros sit at -4 pi i a_j."""
+    coeffs = np.array([1.0], dtype=complex)
+    for aj in strength_values(strengths):
+        coeffs = npoly.polymul(coeffs, np.array([-4 * np.pi * aj, 1j]))
+    return ExpoPolynomial([0.0], [coeffs])
 
 
 def _mask_polynomial(mask: int, minus_4pi_a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Definition-level permutation object model, kept as a test oracle.
 
 The package holds permutations only as 0-based image arrays
-(`enumerate_classes(n).images`, the `_sweep` blocks, `SizeReport.argmax`
+(`enumerate_classes(n)`, the `_sweep` blocks, `SizeReport.argmax`
 and `GenericityReport.witness_pair`).  This module keeps the literal
 reading of the definitions: a `Permutation` object, its cycles and sign,
 its undirected bond multigraph, edge-equivalence by multigraph equality,

@@ -20,21 +20,20 @@ import sys
 import numpy as np
 
 from resonance_sizer import distance_matrix, enumerate_classes, is_generic, validate_configuration
-from resonance_sizer.permutations import ClassRepresentatives
 from resonance_sizer.sizing import DEFAULT_GAP_TOL, GenericityReport
 
 # Representatives per block, as the fancy-index gather took them.
 _BLOCK = 1 << 15
 
 
-def representative_values_reference(config) -> tuple[ClassRepresentatives, np.ndarray]:
+def representative_values_reference(config) -> tuple[np.ndarray, np.ndarray]:
     """Class representatives and their V values, block by block."""
     d = distance_matrix(config)
     reps = enumerate_classes(len(d))
-    values = np.empty(reps.n_classes)
-    for start in range(0, reps.n_classes, _BLOCK):
+    values = np.empty(len(reps))
+    for start in range(0, len(reps), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        d[np.arange(len(d)), reps.images[rows]].sum(axis=1, out=values[rows])
+        d[np.arange(len(d)), reps[rows]].sum(axis=1, out=values[rows])
     return reps, values
 
 
@@ -52,7 +51,7 @@ def is_generic_reference(config, gap_tol: float = DEFAULT_GAP_TOL) -> Genericity
     reps, values = representative_values_reference(config)
     tol = gap_tol * max(1.0, float(values.max()))
     first, second, min_gap = closest_pair_reference(values)
-    witness = tuple(tuple(row) for row in reps.images[[first, second]].tolist())
+    witness = tuple(tuple(row) for row in reps[[first, second]].tolist())
     return GenericityReport(min_gap > tol, min_gap, witness, tol)
 
 

@@ -14,8 +14,10 @@ from resonance_sizer import _contours, zeros
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# Names that the permutation object model held; it lives in
-# tests/permutation_reference.py, and the package holds image arrays.
+# Names the package no longer exports.  The permutation object model lives
+# in tests/permutation_reference.py, and the package holds image arrays:
+# `enumerate_classes` returns its array without a ClassRepresentatives
+# wrapper.  The P_0 builder lives in tests/expoly_reference.py.
 MOVED = (
     "Permutation",
     "cycle_decompose",
@@ -24,11 +26,13 @@ MOVED = (
     "edge_equivalent",
     "class_mates",
     "v_sigma",
+    "ClassRepresentatives",
+    "zero_frequency_polynomial",
 )
 
 
-def test_all_has_31_names():
-    assert len(resonance_sizer.__all__) == len(set(resonance_sizer.__all__)) == 31
+def test_all_has_29_names():
+    assert len(resonance_sizer.__all__) == len(set(resonance_sizer.__all__)) == 29
 
 
 @pytest.mark.parametrize(
@@ -49,12 +53,14 @@ def test_readme_quick_start_runs():
     assert [zc.count for zc in namespace["counts"]] == sorted(zc.count for zc in namespace["counts"])
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only dependency: a fresh interpreter that imports the
-    # package and its CLI must not load scipy
+@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial"])
+def test_import_loads_no_scipy(package):
+    # numpy is the only dependency, and only the tests build polynomials
+    # with numpy.polynomial: a fresh interpreter that imports the package
+    # and its CLI must load neither
     code = (
         "import sys, resonance_sizer, resonance_sizer.cli; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     )
     src = str(Path(resonance_sizer.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

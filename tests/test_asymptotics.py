@@ -15,8 +15,7 @@ from resonance_sizer import (
 from resonance_sizer import asymptotics, sizing, zeros
 from resonance_sizer.asymptotics import fit_slope
 from resonance_sizer.errors import TooFewPoints
-from resonance_sizer.geometry import scale_configuration
-from tests.conftest import DISPHENOID_B_NU, DISPHENOID_V, apply_rigid_motion
+from tests.conftest import DISPHENOID_B_NU, DISPHENOID_V, apply_rigid_motion, scale_configuration
 
 STRENGTH_CASES = {
     "zero": np.zeros(4),

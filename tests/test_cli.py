@@ -370,21 +370,6 @@ def test_resonances_past_node_budget_exits_3(tmp_path, capsys):
     assert "budget of 4194304 nodes" in err
 
 
-def test_resonances_p0_only(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        strengths=[[0.0, 1.0], [0.0, 2.0]],
-        region={"re_min": 0.0, "re_max": 30.0, "im_min": -1.0, "im_max": 1.0},
-    )
-    rc, out, _ = run(capsys, "resonances", "--config", path, "--p0-only")
-    assert rc == 0
-    rows = json.loads(out)["resonances"]
-    assert len(rows) == 2
-    assert rows[0]["re"] == pytest.approx(4 * np.pi, abs=1e-8)
-    assert rows[1]["re"] == pytest.approx(8 * np.pi, abs=1e-8)
-    assert all(abs(r["im"]) <= 1e-8 for r in rows)
-
-
 def test_resonances_full_csv(tmp_path, capsys):
     path = write_config(
         tmp_path,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as npoly
 
 from resonance_sizer import (
     ExpoPolynomial,
+    NumericalError,
     ValidationError,
     determinant_direct,
     distance_matrix,
@@ -18,7 +18,6 @@ from resonance_sizer import (
     random_configuration,
     size_v,
     validate_configuration,
-    zero_frequency_polynomial,
 )
 from tests.conftest import DISPHENOID_CENTERS
 from resonance_sizer._contours import Circle
@@ -33,17 +32,11 @@ from tests.expoly_reference import (
     kernel_gap,
     leibniz_terms,
     value_and_derivative_reference,
+    zero_frequency_polynomial,
 )
 from tests.permutation_reference import edge_multigraph, v_sigma
 
 FOUR_PI = 4 * np.pi
-
-
-def p0_oracle(a):
-    coeffs = np.array([1.0], dtype=complex)
-    for aj in a:
-        coeffs = npoly.polymul(coeffs, np.array([-FOUR_PI * aj, 1j]))
-    return coeffs
 
 
 class TestLeibnizTerms:
@@ -57,7 +50,9 @@ class TestLeibnizTerms:
         assert ident.k1 == 1.0
         assert ident.sign == 1
         assert ident.fixed_points == (0, 1, 2)
-        np.testing.assert_allclose(ident.polynomial(a), p0_oracle(a), rtol=1e-14)
+        np.testing.assert_allclose(
+            ident.polynomial(a), zero_frequency_polynomial(a).coefficients(0.0), rtol=1e-14
+        )
 
     def test_pair_swap_term(self, unit_pair):
         terms = leibniz_terms([0, 0], unit_pair)
@@ -124,6 +119,13 @@ class TestExpand:
         assert epoly.effective_size == pytest.approx(size_v(collinear).v, rel=1e-12)
         assert not any(g.cancelled for g in report.groups)
 
+    def test_overflowing_coefficients_raise(self, unit_pair):
+        # (i z - 4 pi a)^2 overflows at a = 1e200: a numerical failure, not
+        # a ValidationError from the constructor or inf in the output
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflow double precision"):
+                expand([1e200, 1e200], unit_pair)
+
     def test_zero_frequency_group_is_strength_polynomial(self):
         rng = np.random.default_rng(9)
         cfg = random_configuration(4, rng)
@@ -132,7 +134,7 @@ class TestExpand:
         assert epoly.frequencies[0] == 0.0
         p0 = epoly.coefficients(0.0)
         assert len(p0) == 5  # degree exactly N
-        np.testing.assert_allclose(p0, p0_oracle(a), rtol=1e-12)
+        np.testing.assert_allclose(p0, zero_frequency_polynomial(a).coefficients(0.0), rtol=1e-12)
 
     def test_nu_at_least_one_and_frequencies_bounded(self):
         rng = np.random.default_rng(10)
@@ -347,6 +349,22 @@ class TestExpoPolynomial:
             assert empty.derivative().terms == ()
         with pytest.raises(ValidationError):
             ExpoPolynomial([0.0, 1.0], [[1, 2]])
+
+    @pytest.mark.parametrize(
+        "freqs, coeffs, match",
+        [
+            ([math.nan, 1.0], [[1.0], [2.0]], "frequencies"),
+            ([1.0, math.inf], [[1.0], [2.0]], "frequencies"),
+            ([-1.0, 2.0], [[1.0], [2.0]], "frequencies"),
+            ([0.0, -0.0, -1e-300], [[1.0], [2.0], [3.0]], "frequencies"),
+            ([0.0, 1.0], [[1.0], [math.nan]], "coefficients"),
+            ([0.0, 1.0], [[1.0, complex(0, math.inf)], [2.0]], "coefficients"),
+            ([0.0], [[complex(math.nan, 0)]], "coefficients"),
+        ],
+    )
+    def test_constructor_rejects_non_finite_or_negative(self, freqs, coeffs, match):
+        with pytest.raises(ValidationError, match=match):
+            ExpoPolynomial(freqs, coeffs)
 
     def test_terms_match_pairwise_construction(self):
         rng = np.random.default_rng(16)

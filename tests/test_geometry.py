@@ -13,8 +13,8 @@ from resonance_sizer.errors import (
     SamplingExhausted,
     TooFewCenters,
 )
-from resonance_sizer.geometry import scale_configuration, strength_values
-from tests.conftest import apply_rigid_motion
+from resonance_sizer.geometry import strength_values
+from tests.conftest import apply_rigid_motion, scale_configuration
 
 
 def test_two_distinct_points_valid():
@@ -92,26 +92,9 @@ def test_distance_matrix_rigid_invariance():
     )
 
 
-def test_scale_identity(unit_pair):
-    np.testing.assert_array_equal(
-        scale_configuration(unit_pair, 1.0).centers, unit_pair.centers
-    )
-
-
-def test_scale_doubles_coordinates(unit_pair):
-    scaled = scale_configuration(unit_pair, 2.0)
-    np.testing.assert_allclose(scaled.centers, [(0, 0, 0), (2, 0, 0)])
-
-
 def test_scale_distances_linear():
     cfg = validate_configuration([(0, 0, 0), (3, 4, 0)])
     assert distance_matrix(scale_configuration(cfg, 0.5))[0, 1] == 2.5
-
-
-def test_scale_rejects_nonpositive(unit_pair):
-    for c in (0.0, -1.0):
-        with pytest.raises(NonpositiveScale):
-            scale_configuration(unit_pair, c)
 
 
 def test_random_configuration_deterministic():
@@ -142,6 +125,8 @@ def test_random_configuration_exhausts_on_impossible_gap():
         {"min_gap": float("nan")},
         {"min_gap": float("inf")},
         {"min_gap": -0.1},
+        {"box_side": 0.0},
+        {"box_side": -1.0},
     ],
 )
 def test_random_configuration_rejects_non_finite_scales(kwargs):
@@ -149,6 +134,8 @@ def test_random_configuration_rejects_non_finite_scales(kwargs):
     with pytest.raises(ValidationError) as excinfo:
         random_configuration(5, seed=0, **kwargs)
     assert excinfo.type is not SamplingExhausted
+    if kwargs.get("box_side", 1.0) <= 0:
+        assert excinfo.type is NonpositiveScale
 
 
 def test_random_configuration_needs_two():

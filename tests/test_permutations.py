@@ -239,32 +239,28 @@ def test_class_mates_equals_brute_class():
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (3, 5), (4, 17)])
 def test_enumerate_classes_counts(n, expected):
-    classes = enumerate_classes(n)
-    assert classes.n_classes == expected
-    assert sum(classes.class_sizes) == math.factorial(n)
+    assert len(enumerate_classes(n)) == expected
 
 
 def representatives(classes):
-    return [Permutation(image) for image in classes.images.tolist()]
+    return [Permutation(image) for image in classes.tolist()]
 
 
 def test_enumerate_classes_representatives_are_canonical():
     classes = enumerate_classes(4)
-    for rep, size in zip(representatives(classes), classes.class_sizes):
-        mates = class_mates(rep)
-        assert len(mates) == size
-        assert rep == mates[0]  # lexicographically smallest member
+    for rep in representatives(classes):
+        assert rep == class_mates(rep)[0]  # lexicographically smallest member
     reps = [r.image for r in representatives(classes)]
     assert reps == sorted(reps)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumerate_classes_images_array(n):
-    classes = enumerate_classes(n)
-    images = classes.images
-    assert images.shape == (classes.n_classes, n) and not images.flags.writeable
+    images = enumerate_classes(n)
+    assert images.ndim == 2 and images.shape[1] == n and not images.flags.writeable
+    assert enumerate_classes(n) is images  # cached
     # each row is the lexicographically smallest member of its class
-    assert np.array_equal(images, [class_mates(r)[0].image for r in representatives(classes)])
+    assert np.array_equal(images, [class_mates(r)[0].image for r in representatives(images)])
 
 
 def test_enumerate_classes_covers_sn():
@@ -286,11 +282,17 @@ def test_enumerate_classes_bounds():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_enumerate_classes_matches_multigraph_codes(n):
-    classes = enumerate_classes(n)
-    images, sizes = classes_by_codes(n)
-    assert classes.images.dtype == np.int8 and not classes.images.flags.writeable
-    assert np.array_equal(classes.images, images)
-    assert classes.class_sizes == sizes
+    images = enumerate_classes(n)
+    want, sizes = classes_by_codes(n)
+    assert type(images) is np.ndarray and images.dtype == np.int8
+    assert not images.flags.writeable
+    assert np.array_equal(images, want)
+    # the oracle's classes partition S_N, each of 2^k members for the k
+    # cycles of length >= 3 of its representative (`_cycles` is checked
+    # against cycle_decompose below)
+    assert sum(sizes) == math.factorial(n)
+    long_cycles = [sum(len(c) >= 3 for c in _cycles(row)) for row in images.tolist()]
+    assert sizes == tuple(2**k for k in long_cycles)
 
 
 @given(st.one_of(perms_to_8, two_long_cycles()))

@@ -15,9 +15,14 @@ from resonance_sizer import (
     validate_configuration,
 )
 from resonance_sizer.errors import SizeMismatch, ValidationError
-from resonance_sizer.geometry import scale_configuration
 from resonance_sizer.sizing import _assignment, _closest_pair, representative_values
-from tests.conftest import DISPHENOID_CENTERS, SHAPES, apply_rigid_motion, brute_size
+from tests.conftest import (
+    DISPHENOID_CENTERS,
+    SHAPES,
+    apply_rigid_motion,
+    brute_size,
+    scale_configuration,
+)
 from tests.permutation_reference import (
     Permutation,
     class_mates,
@@ -178,7 +183,7 @@ def test_size_v_argmax_is_image_tuple(n):
 def test_witness_pair_rows_of_class_images(n):
     cfg = random_configuration(n, seed=10 + n)
     report = is_generic(cfg)
-    rows = [tuple(row) for row in enumerate_classes(n).images.tolist()]
+    rows = [tuple(row) for row in enumerate_classes(n).tolist()]
     a, b = report.witness_pair
     assert a in rows and b in rows and a != b
     assert all(type(j) is int for j in a + b)
@@ -194,7 +199,7 @@ def test_representative_values_blockwise_bytes(n, seed):
     cfg = random_configuration(n, seed=seed)
     reps, values = representative_values(cfg)
     d = distance_matrix(cfg)
-    assert values.tobytes() == d[np.arange(n), reps.images].sum(axis=1).tobytes()
+    assert values.tobytes() == d[np.arange(n), reps].sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_TIES))

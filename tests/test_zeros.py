@@ -17,7 +17,6 @@ from resonance_sizer import (
     random_configuration,
     size_v,
     validate_configuration,
-    zero_frequency_polynomial,
 )
 from resonance_sizer._contours import _MAX_POINTS, Circle
 from resonance_sizer.errors import EvaluationOverflow, QuadratureDivergence
@@ -29,6 +28,7 @@ from tests.conftest import (
     MIRROR_PAIR_RADIUS,
     MIRROR_PAIR_STRENGTHS,
 )
+from tests.expoly_reference import zero_frequency_polynomial
 
 
 def quad(z):
