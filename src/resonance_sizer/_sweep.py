@@ -80,12 +80,15 @@ def _block_terms(
     permutation rows `perms` (any integer dtype) with inversion parities
     `parity`: per row the total bond length V, the weight
     sign * prod(1/length) over moved indices, and the bitmask of fixed
-    points (int64, so N <= 63)."""
-    ar = np.arange(d.shape[0])
-    bond = d[ar, perms]
+    points (int64, so N <= 63).  `d` is one (N, N) distance matrix or a
+    (T, N, N) stack; V and the weights then get one leading axis per matrix,
+    and each row's sum and product are the same doubles either way.  The
+    masks do not depend on `d`: one per row."""
+    ar = np.arange(d.shape[-1])
+    bond = d[..., ar, perms]
     fixed = perms == ar
-    k1 = 1.0 / np.where(fixed, 1.0, bond).prod(axis=1)
-    return bond.sum(axis=1), np.where(parity, -k1, k1), (fixed * (1 << ar)).sum(axis=1)
+    k1 = 1.0 / np.where(fixed, 1.0, bond).prod(axis=-1)
+    return bond.sum(axis=-1), np.where(parity, -k1, k1), (fixed * (1 << ar)).sum(axis=1)
 
 
 def _block_values(d: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -93,10 +96,23 @@ def _block_values(d: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return d[np.arange(d.shape[0]), perms].sum(axis=1)
 
 
-def term_arrays(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_block_terms` of every permutation, in lexicographic order.
+def term_arrays(ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_block_terms` of every permutation for each of the T distance
+    matrices of the (T, N, N) stack `ds`, as flat trial-major arrays of
+    T * N! terms: matrix t's terms, in lexicographic order, fill
+    [t * N!, (t + 1) * N!).
 
-    Arrays cover all of S_N (N <= 10 keeps this desk-scale).
+    Arrays cover all of S_N (N <= 10 keeps this desk-scale).  Each block
+    is written into place, so no more than one block's temporaries are
+    held besides the three arrays.
     """
-    parts = [_block_terms(d, parity, perms) for parity, perms in perm_blocks(d.shape[0])]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    n = ds.shape[-1]
+    v = np.empty((len(ds), math.factorial(n)))
+    w = np.empty_like(v)
+    masks = np.empty(v.shape, dtype=np.int64)
+    lo = 0
+    for parity, perms in perm_blocks(n):
+        rows = slice(lo, lo + len(perms))
+        v[:, rows], w[:, rows], masks[:, rows] = _block_terms(ds, parity, perms)
+        lo += len(perms)
+    return v.reshape(-1), w.reshape(-1), masks.reshape(-1)

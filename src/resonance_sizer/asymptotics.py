@@ -14,21 +14,29 @@ permutation.  Otherwise it walks down from V (`sizing.walk_top`): it lists
 the permutations within a growing depth of V and reduces their frequency
 clusters from the top, as `expand` does, until one survives; at N <= 10
 that decides every input without the N! sweep.  It expands the determinant
-only when counts are asked for.  `genericity_scan` always expands: it
+only when counts are asked for.  `genericity_scan` expands every trial: it
 reports near-cancelled frequency groups, which only the full expansion
-has.  It takes V from the same expansion, as the frequency of its top
-group (cancelled or not), whose cluster spread is far inside class_tol.
+has.  It expands its trials in batches, each one sweep, one sort and one
+cluster reduction (`expoly._expand_stack`, of which `expand` is the batch
+of one), and reads V, b_nu and the near cancellations of each trial off
+the batch's groups, with no `ExpoPolynomial` built.  V is the frequency of
+a trial's top group (cancelled or not), whose cluster spread is far inside
+class_tol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _sweep
 from .errors import TooFewCenters, TooFewPoints, TooLarge, ValidationError
-from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, expand
-from .geometry import Configuration, random_configuration, strength_values, validate_configuration
+from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, _expand_stack
+from .expoly import _mask_polynomials, _near_cancelled, expand
+from .geometry import Configuration, distance_matrix, random_configuration, strength_values
+from .geometry import validate_configuration
 from .permutations import MAX_ENUM_N
 from .sizing import certify_top_class, is_generic, walk_top
 # Not called here; bench/selftest.py checks that its tracer rebinds this name.
@@ -78,11 +86,16 @@ class ScanSummary:
     near_cancellation_trials: tuple[int, ...]
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an int or numpy integer (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_skip(skip, n_points: int) -> None:
     """Reject a skip that is not an integer >= 0 or that leaves fewer than
     3 of n_points to fit."""
-    if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)):
-        raise ValidationError(f"skip must be an integer, got {skip!r}")
+    _check_integer("skip", skip)
     if skip < 0:
         raise ValidationError(f"skip must be >= 0, got {skip}")
     if n_points - skip < 3:
@@ -206,6 +219,24 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
+def _trial_readings(stack: tuple, cancel_tol: float) -> tuple[list, list, list]:
+    """V, b_nu and the near-cancellation count of each matrix of an
+    `expoly._expand_stack` result, as lists.
+
+    V is the frequency of the matrix's top group, cancelled or not: the
+    size V(Y) up to the spread of its cluster (freq_tol * max(1, V) per
+    link), far inside class_tol.  b_nu is the frequency of its last group
+    that did not cancel (the zero-frequency group never does), `expand`'s
+    effective size; the count is that of `near_cancellations`."""
+    bounds, freqs, _, pre_scale, post_scale, cancelled = stack
+    alive = np.flatnonzero(~cancelled)
+    b_nu = freqs[alive[np.searchsorted(alive, bounds[1:]) - 1]]
+    near = np.add.reduceat(
+        _near_cancelled(pre_scale, post_scale, cancel_tol), bounds[:-1], dtype=np.intp
+    )
+    return freqs[bounds[1:] - 1].tolist(), b_nu.tolist(), near.tolist()
+
+
 def genericity_scan(n: int, trials: int, seed: int) -> ScanSummary:
     """Randomized scan of configurations for genericity and Weyl-ness.
 
@@ -217,34 +248,48 @@ def genericity_scan(n: int, trials: int, seed: int) -> ScanSummary:
     the fraction that is generic, the fraction classified Weyl, the
     distribution of the genericity gap, and any trial whose expansion had a
     near-cancelled frequency group (CancellationReport.near_cancellations).
-    `trials` and `seed` must be nonnegative, and 2 <= n <= MAX_ENUM_N (the
-    expansion's cap), whatever the number of trials.
+    n, `trials` and `seed` must be integers (not bools), `trials` and `seed`
+    nonnegative, and 2 <= n <= MAX_ENUM_N (the expansion's cap), whatever
+    the number of trials.
+
+    Trials are expanded in batches, as many as `_sweep._BLOCK` (7!) terms
+    hold and at least one: 42 trials at N = 5, one from N = 7 on.  So
+    memory does not grow with `trials`, and each batch takes one sweep,
+    one sort and one cluster reduction (`expoly._expand_stack`), which give
+    every trial the same doubles as its own `expand`.
     """
+    for name, value in (("n", n), ("trials", trials), ("seed", seed)):
+        _check_integer(name, value)
+    n, trials, seed = int(n), int(trials), int(seed)
     if trials < 0 or seed < 0:
         raise ValidationError(f"trials and seed must be >= 0, got trials={trials}, seed={seed}")
     if n < 2:
         raise TooFewCenters(f"need at least 2 centers, got {n}")
     if n > MAX_ENUM_N:
         raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {n}")
-    a = np.zeros(n, dtype=complex)
+    table = _mask_polynomials(-4 * np.pi * np.zeros(n, dtype=complex))
+    batch = max(1, _sweep._BLOCK // math.factorial(n))
     generic_flags = []
     weyl_flags = []
     min_gaps = []
     near_trials = []
     near_count = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        config = random_configuration(n, rng)
-        report = is_generic(config)
-        generic_flags.append(report.is_generic)
-        min_gaps.append(report.min_gap)
-        epoly, cancels = expand(a, config)
-        v = cancels._top_frequency()
-        weyl_flags.append(_verdict(epoly.effective_size, v, DEFAULT_CLASS_TOL) == WEYL)
-        near = cancels.near_cancellations()
-        if near:
-            near_count += len(near)
-            near_trials.append(t)
+    for first in range(0, trials, batch):
+        ds = []
+        for t in range(first, min(first + batch, trials)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+            config = random_configuration(n, rng)
+            report = is_generic(config)
+            generic_flags.append(report.is_generic)
+            min_gaps.append(report.min_gap)
+            ds.append(distance_matrix(config))
+        stack = _expand_stack(np.stack(ds), table, DEFAULT_FREQ_TOL, DEFAULT_CANCEL_TOL)
+        v, b_nu, near = _trial_readings(stack, DEFAULT_CANCEL_TOL)
+        for t, top, b, k in zip(range(first, trials), v, b_nu, near):
+            weyl_flags.append(_verdict(b, top, DEFAULT_CLASS_TOL) == WEYL)
+            if k:
+                near_count += k
+                near_trials.append(t)
     return ScanSummary(
         n=n,
         trials=trials,

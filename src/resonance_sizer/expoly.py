@@ -89,15 +89,10 @@ class CancellationReport:
 
     def near_cancellations(self) -> tuple[CancellationGroup, ...]:
         """Groups whose residual is within _NEAR_FACTOR * cancel_tol of
-        vanishing."""
+        vanishing (`_near_cancelled`)."""
         _, pre_scale, post_scale, _ = self.groups._columns
-        near = np.flatnonzero(post_scale <= _NEAR_FACTOR * self.cancel_tol * pre_scale)
+        near = np.flatnonzero(_near_cancelled(pre_scale, post_scale, self.cancel_tol))
         return tuple(map(self.groups.__getitem__, near.tolist()))
-
-    def _top_frequency(self) -> float:
-        """Frequency of the top group, cancelled or not: the size V(Y) up to
-        the spread of its cluster (freq_tol * max(1, V) per link)."""
-        return float(self.groups._columns[0][-1])
 
 
 class ExpoPolynomial:
@@ -359,12 +354,22 @@ def _check_tolerances(**tolerances: float) -> None:
 
 
 def _cluster_starts(v: np.ndarray, freq_tol: float) -> np.ndarray:
-    """Start index of each frequency cluster of the sorted V values v:
-    single-linkage runs with gaps <= freq_tol * max(1, max V)."""
-    gaps = np.diff(v) > freq_tol * max(1.0, float(v[-1]))
-    return np.concatenate([[0], np.flatnonzero(gaps) + 1])
+    """Flat start index of each frequency cluster of v, a (rows, terms)
+    array of V values sorted along each row: single-linkage runs with gaps
+    <= freq_tol * max(1, max V of the row), and each row starts a cluster."""
+    fresh = np.empty(v.shape, dtype=bool)
+    fresh[:, 0] = True
+    np.greater(v[:, 1:] - v[:, :-1], freq_tol * np.maximum(1.0, v[:, -1:]), out=fresh[:, 1:])
+    return np.flatnonzero(fresh)
 
 
+def _near_cancelled(pre_scale: np.ndarray, post_scale: np.ndarray, cancel_tol: float):
+    """Which groups come within _NEAR_FACTOR * cancel_tol of vanishing: a
+    cancel_tol that much larger would prune them."""
+    return post_scale <= _NEAR_FACTOR * cancel_tol * pre_scale
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _reduce_clusters(terms: list, starts, table, cancel_tol: float):
     """Frequency, coefficient row, pre_scale, post_scale and cancelled flag
     of each cluster (see `expand`).
@@ -384,6 +389,9 @@ def _reduce_clusters(terms: list, starts, table, cancel_tol: float):
     increasing mask order; both sums are sequential, so every value
     depends only on the cluster's own terms, and is the same double
     whichever other clusters are reduced with it.
+
+    Strengths too large for double precision make coefficients inf or NaN
+    silently; `expand` raises NumericalError on them.
     """
     v, w, masks = terms
     terms.clear()
@@ -433,24 +441,17 @@ def expand(
     precision (strengths too large) raise NumericalError.
 
     All clusters are reduced in one vectorized pass (`_reduce_clusters`,
-    which `sizing.walk_top` runs on the clusters near the top).
+    which `sizing.walk_top` runs on the clusters near the top); `expand` is
+    the stack of one of `_expand_stack`, which `genericity_scan` runs on
+    its batches of trials.
     """
     _check_tolerances(freq_tol=freq_tol, cancel_tol=cancel_tol)
     config = validate_configuration(config)
     if config.n > MAX_ENUM_N:
         raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {config.n}")
     a = strength_values(strengths, config.n)
-
-    # Per-term arrays are N! long (3.6M at N = 10), so each is released as
-    # soon as it has been used; _reduce_clusters takes the last references.
-    v, w, masks = _sweep.term_arrays(distance_matrix(config))
-    order = np.argsort(v, kind="stable")
-    terms = [v[order], w[order], masks[order]]
-    del v, w, masks, order
-    starts = _cluster_starts(terms[0], freq_tol)
-    table = _mask_polynomials(-4 * np.pi * a)
-    freqs, coeffs, pre_scale, post_scale, cancelled = _reduce_clusters(
-        terms, starts, table, cancel_tol
+    _, freqs, coeffs, pre_scale, post_scale, cancelled = _expand_stack(
+        distance_matrix(config)[None], _mask_polynomials(-4 * np.pi * a), freq_tol, cancel_tol
     )
     report = CancellationReport(
         _GroupColumns(freqs, pre_scale, post_scale, cancelled),
@@ -467,3 +468,30 @@ def expand(
     # the constructor drops zero polynomials, so this prunes cancelled groups
     coeffs[cancelled] = 0.0
     return ExpoPolynomial(freqs, coeffs), report
+
+
+def _expand_stack(ds: np.ndarray, table: np.ndarray, freq_tol: float, cancel_tol: float):
+    """The frequency clusters of the T distance matrices of the (T, N, N)
+    stack `ds`, which share their strengths: `table` is the strengths'
+    `_mask_polynomials`.
+
+    Returns `bounds`, then `_reduce_clusters`'s columns (frequency,
+    coefficient row, pre_scale, post_scale, cancelled) of every cluster,
+    flat and trial-major: matrix t's clusters, in increasing frequency, are
+    [bounds[t], bounds[t + 1]).  Each matrix's terms are sorted stably on
+    their own row and clustered by their own gap rule (`_cluster_starts`),
+    and a cluster's values depend only on its own terms, so matrix t's
+    clusters are the same doubles as the stack of `ds[t]` alone gives.
+    """
+    # Per-term arrays are T * N! long (3.6M at N = 10), so each is released
+    # as soon as it has been used; _reduce_clusters takes the last references.
+    v, w, masks = _sweep.term_arrays(ds)
+    order = np.argsort(v.reshape(len(ds), -1), axis=1, kind="stable")
+    width = order.shape[1]
+    order += np.arange(0, len(v), width)[:, None]
+    order = order.reshape(-1)
+    terms = [v[order], w[order], masks[order]]
+    del v, w, masks, order
+    starts = _cluster_starts(terms[0].reshape(len(ds), -1), freq_tol)
+    bounds = np.searchsorted(starts, np.arange(0, len(terms[0]) + 1, width))
+    return (bounds, *_reduce_clusters(terms, starts, table, cancel_tol))

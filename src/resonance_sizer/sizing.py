@@ -333,7 +333,7 @@ def _top_survivor(d, rows, closed_above, minus_4pi_a, freq_tol, cancel_tol) -> f
         values[lo : lo + len(block)] = _sweep._block_values(d, block)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    starts = _cluster_starts(values, freq_tol)
+    starts = _cluster_starts(values[None], freq_tol)
     lows = values[starts] - freq_tol * max(1.0, float(values[-1]))
     ends = np.append(starts[1:], len(values))
     del values  # each chunk sums its own again, to the same doubles

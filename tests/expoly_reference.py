@@ -136,7 +136,7 @@ def expand_reference(
     d = distance_matrix(config)
     n = config.n
 
-    v_all, w_all, mask_all = _sweep.term_arrays(d)
+    v_all, w_all, mask_all = _sweep.term_arrays(d[None])
     order = np.argsort(v_all, kind="stable")
     v_sorted = v_all[order]
     tol_abs = freq_tol * max(1.0, float(v_sorted[-1]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from resonance_sizer import (
     random_configuration,
     validate_configuration,
 )
-from resonance_sizer import asymptotics, sizing, zeros
-from resonance_sizer.asymptotics import fit_slope
+from resonance_sizer import _sweep, asymptotics, distance_matrix, sizing, zeros
+from resonance_sizer.asymptotics import _trial_readings, fit_slope
 from resonance_sizer.errors import TooFewPoints
+from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _expand_stack
+from resonance_sizer.expoly import _mask_polynomials
+from tests.asymptotics_reference import genericity_scan_reference
 from tests.conftest import DISPHENOID_B_NU, DISPHENOID_V, apply_rigid_motion, scale_configuration
 
 STRENGTH_CASES = {
@@ -358,3 +363,90 @@ def test_scan_spawns_no_streams_up_front(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
     assert genericity_scan(5, 25, 3) == SCANS_WITH_SIZE_V[3]
+
+
+@pytest.mark.parametrize(
+    "n, trials, seed, name",
+    [
+        (3, True, 0, "trials"),
+        (3, 1, False, "seed"),
+        (True, 1, 0, "n"),
+        (3.0, 1, 0, "n"),
+        (3, 2.5, 0, "trials"),
+        (3, 1, 1.5, "seed"),
+        ("3", 1, 0, "n"),
+        (3, None, 0, "trials"),
+    ],
+)
+def test_scan_rejects_non_integer_inputs(n, trials, seed, name, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(asymptotics, "random_configuration", no_trial)
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        genericity_scan(n, trials, seed)
+
+
+def test_scan_accepts_numpy_integers():
+    got = genericity_scan(np.int64(3), np.int32(4), np.uint8(5))
+    assert got == genericity_scan(3, 4, 5)
+    assert [type(x) for x in (got.n, got.trials, got.seed)] == [int, int, int]
+
+
+# A batch holds 42 trials at N = 5 and 7 at N = 6, so 43 and 100 trials at
+# N = 5 and 15 at N = 6 cross batch boundaries; from N = 7 on a batch is one
+# trial.
+ORACLE_SCANS = [(2, 30), (3, 30), (4, 30), (5, 43), (5, 100), (6, 15), (7, 3), (8, 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20261020])
+@pytest.mark.parametrize("n, trials", ORACLE_SCANS)
+def test_scan_equals_per_trial_oracle(n, trials, seed):
+    assert genericity_scan(n, trials, seed) == genericity_scan_reference(n, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "n, trials, batches", [(5, 100, [42, 42, 16]), (6, 15, [7, 7, 1]), (7, 2, [1, 1]), (8, 2, [1, 1])]
+)
+def test_scan_batches_hold_at_most_a_block_of_terms(n, trials, batches, monkeypatch):
+    sizes = []
+    term_arrays = _sweep.term_arrays
+
+    def spy(ds):
+        sizes.append(len(ds))
+        return term_arrays(ds)
+
+    monkeypatch.setattr(_sweep, "term_arrays", spy)
+    genericity_scan(n, trials, 0)
+    assert sizes == batches
+    # past 7! terms per trial (N >= 8) a batch is a single trial
+    assert max(sizes) * math.factorial(n) <= _sweep._BLOCK or max(sizes) == 1
+
+
+@pytest.mark.parametrize("strengths", [np.zeros(4), STRENGTH_CASES["complex"]], ids=["zero", "complex"])
+def test_trial_readings_match_expand(disphenoid, strengths):
+    # ties and cancelled tops: the disphenoid's top cancels, a rigid motion
+    # of it moves its bits, and collinear points and the regular
+    # tetrahedron tie at the top
+    rng = np.random.default_rng(4)
+    configs = [
+        disphenoid,
+        apply_rigid_motion(disphenoid, rng),
+        random_configuration(4, rng),
+        validate_configuration([(k, 0, 0) for k in range(4)]),
+        validate_configuration([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]),
+    ]
+    stack = _expand_stack(
+        np.stack([distance_matrix(c) for c in configs]),
+        _mask_polynomials(-4 * np.pi * strengths.astype(complex)),
+        DEFAULT_FREQ_TOL,
+        DEFAULT_CANCEL_TOL,
+    )
+    want = ([], [], [])
+    for config in configs:
+        epoly, report = expand(strengths, config)
+        want[0].append(report.groups[-1].frequency)
+        want[1].append(epoly.effective_size)
+        want[2].append(len(report.near_cancellations()))
+    assert _trial_readings(stack, DEFAULT_CANCEL_TOL) == want
+    assert want[2][0] > 0 and want[1][0] < want[0][0]  # the disphenoid's top cancels

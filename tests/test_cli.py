@@ -345,6 +345,24 @@ def test_count_overflow_exits_3(tmp_path, capsys):
     assert "|z - 0.0| = 155.0" in err and "log(DBL_MAX) = 709.78" in err
 
 
+@pytest.mark.parametrize("command", ["expand", "count", "resonances"])
+def test_overflowing_strengths_exit_3_without_warning(tmp_path, capsys, command):
+    # (i z - 4 pi a)^2 overflows at a = 1e200; the reduction's inf * 0 must
+    # not reach stderr as a RuntimeWarning ahead of the failure line
+    path = write_config(
+        tmp_path,
+        strengths=[1e200, 1e200],
+        counting={"r_min": 20.0, "r_max": 200.0, "steps": 10},
+        region={"re_min": 0.0, "re_max": 20.0, "im_min": -5.0, "im_max": 0.0},
+    )
+    rc, out, err = run(capsys, command, "--config", path)
+    assert (rc, out) == (3, "")
+    assert err == (
+        "numerical failure: the expansion's coefficients overflow double precision "
+        "(largest |4 pi a_j| is 1.26e+201)\n"
+    )
+
+
 @pytest.mark.parametrize("radius, nodes", [(6e5, 9_600_000), (5e5, 8_000_000)])
 def test_count_past_node_budget_exits_3(tmp_path, capsys, radius, nodes):
     # centers 0.5 apart: b_nu = 1, so a count at R needs 2 * 8R nodes

@@ -23,6 +23,8 @@ from tests.conftest import DISPHENOID_CENTERS
 from resonance_sizer._contours import Circle
 from resonance_sizer.errors import TooLarge
 from resonance_sizer.expoly import _KERNEL_BLOCK, _NEAR_FACTOR, CancellationGroup
+from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _expand_stack
+from resonance_sizer.expoly import _mask_polynomials
 from tests.expoly_reference import (
     KERNEL_REL_TOL,
     canonical_terms_reference,
@@ -121,10 +123,10 @@ class TestExpand:
 
     def test_overflowing_coefficients_raise(self, unit_pair):
         # (i z - 4 pi a)^2 overflows at a = 1e200: a numerical failure, not
-        # a ValidationError from the constructor or inf in the output
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="overflow double precision"):
-                expand([1e200, 1e200], unit_pair)
+        # a ValidationError from the constructor or inf in the output, and
+        # no RuntimeWarning on the way (the suite turns one into an error)
+        with pytest.raises(NumericalError, match="overflow double precision"):
+            expand([1e200, 1e200], unit_pair)
 
     def test_zero_frequency_group_is_strength_polynomial(self):
         rng = np.random.default_rng(9)
@@ -569,3 +571,36 @@ def test_zero_frequency_polynomial_roots():
     assert [b for b, _ in epoly.terms] == [0.0]
     for root in (-4j * np.pi * a).tolist():
         assert abs(epoly.evaluate(root)) <= 1e-10
+
+
+def _stack_cases():
+    rng = np.random.default_rng(20)
+    for n in range(2, 8):
+        yield f"random-{n}", [random_configuration(n, rng) for _ in range(3)]
+    disphenoid = validate_configuration(DISPHENOID_CENTERS)
+    moved = validate_configuration(disphenoid.centers @ np.diag([1.0, -1.0, 1.0]) + 0.1)
+    collinear = validate_configuration([(k, 0, 0) for k in range(4)])
+    yield "ties-4", [disphenoid, moved, collinear, random_configuration(4, rng)]
+
+
+@pytest.mark.parametrize("configs", [c for _, c in _stack_cases()], ids=[i for i, _ in _stack_cases()])
+def test_expand_stack_rows_equal_expand_bit_for_bit(configs):
+    n = configs[0].n
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    bounds, freqs, coeffs, pre, post, cancelled = _expand_stack(
+        np.stack([distance_matrix(c) for c in configs]),
+        _mask_polynomials(-FOUR_PI * a),
+        DEFAULT_FREQ_TOL,
+        DEFAULT_CANCEL_TOL,
+    )
+    assert bounds[0] == 0 and bounds[-1] == len(freqs) and len(bounds) == len(configs) + 1
+    for t, config in enumerate(configs):
+        epoly, report = expand(a, config)
+        rows = slice(bounds[t], bounds[t + 1])
+        for got, want in zip((freqs, pre, post, cancelled), report.groups._columns):
+            assert got[rows].tobytes() == want.tobytes()
+        kept = coeffs[rows][~cancelled[rows]]
+        width = epoly._coeffs.shape[1]
+        assert kept[:, :width].tobytes() == epoly._coeffs.tobytes()
+        assert not kept[:, width:].any()

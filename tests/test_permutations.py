@@ -144,7 +144,7 @@ def test_term_arrays_weights_signed_by_rank_parity(n):
     rng = np.random.default_rng(n)
     pts = rng.uniform(size=(n, 3))
     d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-    _, w, _ = term_arrays(d)
+    _, w, _ = term_arrays(d[None])
     ar = np.arange(n)
     k1 = np.concatenate(
         [1.0 / np.where(b == ar, 1.0, d[ar, b]).prod(axis=1) for _, b in perm_blocks(n)]
