@@ -19,7 +19,7 @@ from .errors import (
 )
 from .expoly import CancellationReport, ExpoPolynomial, expand
 from .gammadet import determinant_direct, gamma_matrix
-from .geometry import Configuration, distance_matrix, random_configuration, validate_configuration
+from .geometry import Configuration, random_configuration, validate_configuration
 from .permutations import enumerate_classes
 from .sizing import GenericityReport, SizeReport, is_generic, size_v
 from .zeros import (
@@ -53,7 +53,6 @@ __all__ = [
     "count_zeros_disk",
     "counting_function",
     "determinant_direct",
-    "distance_matrix",
     "enumerate_classes",
     "expand",
     "find_resonances",

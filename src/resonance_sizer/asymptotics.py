@@ -35,7 +35,7 @@ from . import _sweep
 from .errors import TooFewCenters, TooFewPoints, TooLarge, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _check_tolerances, _expand_stack
 from .expoly import _mask_polynomials, _near_cancelled, expand
-from .geometry import Configuration, distance_matrix, random_configuration, strength_values
+from .geometry import Configuration, _check_integer, random_configuration, strength_values
 from .geometry import validate_configuration
 from .permutations import MAX_ENUM_N
 from .sizing import certify_top_class, is_generic, walk_top
@@ -84,12 +84,6 @@ class ScanSummary:
     min_gap_quantiles: dict
     near_cancellation_count: int
     near_cancellation_trials: tuple[int, ...]
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a value that is not an int or numpy integer (bools too)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_skip(skip, n_points: int) -> None:
@@ -282,7 +276,7 @@ def genericity_scan(n: int, trials: int, seed: int) -> ScanSummary:
             report = is_generic(config)
             generic_flags.append(report.is_generic)
             min_gaps.append(report.min_gap)
-            ds.append(distance_matrix(config))
+            ds.append(config.distances)
         stack = _expand_stack(np.stack(ds), table, DEFAULT_FREQ_TOL, DEFAULT_CANCEL_TOL)
         v, b_nu, near = _trial_readings(stack, DEFAULT_CANCEL_TOL)
         for t, top, b, k in zip(range(first, trials), v, b_nu, near):

@@ -22,7 +22,7 @@ from .asymptotics import DEFAULT_CLASS_TOL, genericity_scan
 from .asymptotics import classify as classify_report
 from .errors import NumericalError, ValidationError
 from .expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, expand
-from .geometry import Configuration, distance_matrix, validate_configuration
+from .geometry import Configuration, validate_configuration
 from .permutations import MAX_ENUM_N
 from .sizing import DEFAULT_GAP_TOL, is_generic
 from .zeros import Rectangle, counting_function, find_resonances
@@ -164,8 +164,7 @@ def _emit_json(obj) -> None:
 
 def cmd_validate(args) -> int:
     rc = load_run_config(args.config)
-    d = distance_matrix(rc.config)
-    off = d[~np.eye(rc.config.n, dtype=bool)]
+    off = rc.config.distances[~np.eye(rc.config.n, dtype=bool)]
     _emit_json(
         {"valid": True, "n": rc.config.n, "min_distance": float(off.min())}
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _sweep
 from .errors import NumericalError, TooLarge, ValidationError
-from .geometry import Configuration, distance_matrix, strength_values, validate_configuration
+from .geometry import Configuration, strength_values, validate_configuration
 from .permutations import MAX_ENUM_N
 
 # Relative gap threshold for clustering nearly-equal term frequencies.
@@ -451,7 +451,7 @@ def expand(
         raise TooLarge(f"determinant expansion capped at N <= {MAX_ENUM_N}, got {config.n}")
     a = strength_values(strengths, config.n)
     _, freqs, coeffs, pre_scale, post_scale, cancelled = _expand_stack(
-        distance_matrix(config)[None], _mask_polynomials(-4 * np.pi * a), freq_tol, cancel_tol
+        config.distances[None], _mask_polynomials(-4 * np.pi * a), freq_tol, cancel_tol
     )
     report = CancellationReport(
         _GroupColumns(freqs, pre_scale, post_scale, cancelled),

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _sweep
 from .errors import TooLarge, ValidationError
+from .geometry import _check_integer
 
 # Hard cap for full S_N enumeration (10! = 3,628,800 permutations).
 MAX_ENUM_N = 10
@@ -59,12 +60,13 @@ def _class_members(image) -> np.ndarray:
     return np.array(members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must reach the check, not 2's table
 def enumerate_classes(n: int) -> np.ndarray:
     """One representative per edge-equivalence class of S_N, its member in
     canonical orientation (its lexicographically smallest), as a read-only
     (classes, N) int8 array of 0-based images.  The sweep over S_N is
     lexicographic, so its canonical rows come in order."""
+    _check_integer("n", n)
     if n < 2:
         raise ValidationError(f"need N >= 2, got {n}")
     if n > MAX_ENUM_N:

@@ -317,7 +317,10 @@ def counting_function(
 def _check_radii(radii) -> list[float]:
     """The radii as floats; ValidationError unless each is finite and > 0
     and they strictly increase."""
-    radii = [float(r) for r in radii]
+    try:
+        radii = [float(r) for r in radii]
+    except (TypeError, ValueError):
+        raise ValidationError(f"radii must be real numbers, got {radii!r}") from None
     if not all(0 < r < math.inf for r in radii):
         raise ValidationError(f"radii must be finite and > 0, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):

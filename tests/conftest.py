@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from resonance_sizer import Configuration, distance_matrix, validate_configuration
+from resonance_sizer import Configuration, validate_configuration
 
 # Tetragonal disphenoid: three fixed-point-free permutation classes tie at
 # the top frequency V = 4 * side and their weights cancel for every choice
@@ -90,7 +90,7 @@ def brute_size(config):
     Returns V(Y) and the set of permutation images within
     1e-9 * max(1, V) of it (the ties).
     """
-    d = distance_matrix(config)
+    d = config.distances
     perms = _all_permutations(config.n)
     v = d[np.arange(config.n), perms].sum(axis=1)
     best = float(v.max())
@@ -116,6 +116,21 @@ def apply_rigid_motion(config, rng):
     rot = random_rotation(rng)
     shift = rng.normal(size=3)
     return validate_configuration(config.centers @ rot.T + shift)
+
+
+@pytest.fixture
+def distance_spy(monkeypatch):
+    """The point sets whose pairwise distances are computed while the test
+    runs: every (N, N, 3) difference array passed to np.linalg.norm."""
+    norm, calls = np.linalg.norm, []
+
+    def spy(x, *args, **kwargs):
+        if x.ndim == 3 and x.shape[0] == x.shape[1] and x.shape[2] == 3:
+            calls.append(x[0].copy())  # y_0 - y_j: the centers up to a shift
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from numpy.polynomial import polynomial as npoly
 from resonance_sizer import (
     Configuration,
     ExpoPolynomial,
-    distance_matrix,
     expand,
     validate_configuration,
 )
@@ -74,7 +73,7 @@ def leibniz_terms(strengths, config: Configuration) -> list[LeibnizTerm]:
     config = validate_configuration(config)
     _check_n(config.n)
     strength_values(strengths, config.n)  # validate pairing
-    d = distance_matrix(config)
+    d = config.distances
     n = config.n
     terms = []
     for image in itertools.permutations(range(n)):
@@ -133,7 +132,7 @@ def expand_reference(
     config = validate_configuration(config)
     _check_n(config.n)
     a = strength_values(strengths, config.n)
-    d = distance_matrix(config)
+    d = config.distances
     n = config.n
 
     v_all, w_all, mask_all = _sweep.term_arrays(d[None])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resonance_sizer import Configuration, ValidationError, distance_matrix, validate_configuration
+from resonance_sizer import Configuration, ValidationError, validate_configuration
 from resonance_sizer.errors import SizeMismatch
 
 
@@ -142,7 +142,7 @@ def v_sigma(config: Configuration, sigma: Permutation) -> float:
     config = validate_configuration(config)
     if sigma.n != config.n:
         raise SizeMismatch(f"permutation on {sigma.n} items vs {config.n} centers")
-    d = distance_matrix(config)
+    d = config.distances
     return float(d[np.arange(d.shape[0]), np.asarray(sigma.image)].sum())
 
 

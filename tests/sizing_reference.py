@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from resonance_sizer import distance_matrix, enumerate_classes, is_generic, validate_configuration
+from resonance_sizer import enumerate_classes, is_generic, validate_configuration
 from resonance_sizer.sizing import DEFAULT_GAP_TOL, GenericityReport
 
 # Representatives per block, as the fancy-index gather took them.
@@ -28,7 +28,7 @@ _BLOCK = 1 << 15
 
 def representative_values_reference(config) -> tuple[np.ndarray, np.ndarray]:
     """Class representatives and their V values, block by block."""
-    d = distance_matrix(config)
+    d = config.distances
     reps = enumerate_classes(len(d))
     values = np.empty(len(reps))
     for start in range(0, len(reps), _BLOCK):

@@ -14,7 +14,7 @@ from resonance_sizer import (
     random_configuration,
     validate_configuration,
 )
-from resonance_sizer import _sweep, asymptotics, distance_matrix, sizing, zeros
+from resonance_sizer import _sweep, asymptotics, sizing, zeros
 from resonance_sizer.asymptotics import _trial_readings, fit_slope
 from resonance_sizer.errors import TooFewPoints
 from resonance_sizer.expoly import DEFAULT_CANCEL_TOL, DEFAULT_FREQ_TOL, _expand_stack
@@ -437,7 +437,7 @@ def test_trial_readings_match_expand(disphenoid, strengths):
         validate_configuration([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]),
     ]
     stack = _expand_stack(
-        np.stack([distance_matrix(c) for c in configs]),
+        np.stack([c.distances for c in configs]),
         _mask_polynomials(-4 * np.pi * strengths.astype(complex)),
         DEFAULT_FREQ_TOL,
         DEFAULT_CANCEL_TOL,
@@ -450,3 +450,11 @@ def test_trial_readings_match_expand(disphenoid, strengths):
         want[2].append(len(report.near_cancellations()))
     assert _trial_readings(stack, DEFAULT_CANCEL_TOL) == want
     assert want[2][0] > 0 and want[1][0] < want[0][0]  # the disphenoid's top cancels
+
+
+def test_scan_computes_distances_once_per_draw(distance_spy):
+    # each trial draws one point set (none is redrawn at this seed) and
+    # computes its distances once, for the draw's gap test, the genericity
+    # test and the expansion alike
+    genericity_scan(5, 25, 0)
+    assert len(distance_spy) == len({c.tobytes() for c in distance_spy}) == 25

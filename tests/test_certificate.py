@@ -14,7 +14,6 @@ import pytest
 
 from resonance_sizer import (
     classify,
-    distance_matrix,
     expand,
     random_configuration,
     size_v,
@@ -53,7 +52,7 @@ def _assert_matches_expand(a, cfg):
 
 def _brute_margin(cfg):
     """Least V deficit over permutations not edge-equivalent to the argmax."""
-    d = distance_matrix(cfg)
+    d = cfg.distances
     argmax = size_v(cfg).argmax
     sigma = Permutation(argmax)
     v = float(d[np.arange(cfg.n), list(argmax)].sum())
@@ -70,7 +69,7 @@ def test_class_margin_matches_brute_force(n):
     rng = np.random.default_rng(400 + n)
     for _ in range(4):
         cfg = random_configuration(n, rng)
-        margin = class_margin(distance_matrix(cfg), np.array(size_v(cfg).argmax))
+        margin = class_margin(cfg.distances, np.array(size_v(cfg).argmax))
         assert margin == pytest.approx(_brute_margin(cfg), abs=1e-12 * size_v(cfg).v)
 
 

@@ -468,3 +468,19 @@ def test_scan_rejects_negative_trials_and_seed(capsys, argv):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: trials and seed must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("validate", {}),
+        ("classify", {}),
+        ("count", {"counting": {"r_min": 5.0, "r_max": 20.0, "steps": 3}}),
+        ("resonances", {"region": {"re_min": 0.0, "re_max": 4.0, "im_min": -2.0, "im_max": 0.0}}),
+    ],
+)
+def test_command_computes_distances_once(tmp_path, capsys, distance_spy, command, field):
+    path = write_config(tmp_path, centers=[[0, 0, 0], [1, 0, 0], [0, 2, 0]], strengths=[0, 0, 0], **field)
+    rc, _, _ = run(capsys, command, "--config", path)
+    assert rc == 0
+    assert len(distance_spy) == 1

@@ -13,7 +13,6 @@ from resonance_sizer import (
     NumericalError,
     ValidationError,
     determinant_direct,
-    distance_matrix,
     expand,
     random_configuration,
     size_v,
@@ -69,7 +68,7 @@ class TestLeibnizTerms:
     def test_transposition_with_fixed_point(self):
         cfg = validate_configuration([(0, 0, 0), (0.5, 0, 0), (0, 2, 0)])
         a = np.array([0.3, 0.7, -0.4 + 0.2j])
-        d01 = distance_matrix(cfg)[0, 1]
+        d01 = cfg.distances[0, 1]
         term = next(t for t in leibniz_terms(a, cfg) if t.sigma.image == (1, 0, 2))
         assert term.frequency == pytest.approx(2 * d01, rel=1e-15)
         assert term.fixed_points == (2,)
@@ -589,7 +588,7 @@ def test_expand_stack_rows_equal_expand_bit_for_bit(configs):
     rng = np.random.default_rng(n)
     a = rng.normal(size=n) + 1j * rng.normal(size=n)
     bounds, freqs, coeffs, pre, post, cancelled = _expand_stack(
-        np.stack([distance_matrix(c) for c in configs]),
+        np.stack([c.distances for c in configs]),
         _mask_polynomials(-FOUR_PI * a),
         DEFAULT_FREQ_TOL,
         DEFAULT_CANCEL_TOL,

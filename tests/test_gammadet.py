@@ -1,12 +1,18 @@
+import math
+import warnings
+
 import numpy as np
+import pytest
 
 from resonance_sizer import (
+    ValidationError,
     determinant_direct,
     expand,
     gamma_matrix,
     random_configuration,
     validate_configuration,
 )
+from resonance_sizer.errors import EvaluationOverflow
 
 
 def test_gamma_pair_at_zero(unit_pair):
@@ -78,3 +84,25 @@ def test_determinant_vanishes_at_found_resonance(unit_pair):
     assert len(found) == 1
     z = found[0].location
     assert abs(determinant_direct([0, 0], unit_pair, z)) <= 1e-8
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1)])
+@pytest.mark.parametrize("fn", [gamma_matrix, determinant_direct])
+def test_non_finite_z_rejected(unit_pair, fn, z):
+    with pytest.raises(ValidationError, match="must be finite"):
+        fn([0, 0], unit_pair, z)
+
+
+@pytest.mark.parametrize("fn", [gamma_matrix, determinant_direct])
+def test_overflow_raises_without_warning(unit_pair, fn):
+    # e^{|Im z| d} = e^800 is past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflow, match=r"800 \* 1 = 800\.0.*709\.78"):
+            fn([0, 0], unit_pair, -800j)
+
+
+def test_overflowing_determinant_raises(unit_pair):
+    # every entry is finite, their product is not
+    with pytest.raises(EvaluationOverflow, match="the determinant"):
+        determinant_direct([1e200, 1e200], unit_pair, 0.0)

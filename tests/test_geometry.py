@@ -1,10 +1,15 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from resonance_sizer import (
+    Configuration,
     ValidationError,
-    distance_matrix,
+    expand,
+    is_generic,
     random_configuration,
+    size_v,
     validate_configuration,
 )
 from resonance_sizer.errors import (
@@ -51,16 +56,16 @@ def test_centers_read_only():
 
 
 def test_distance_matrix_simple(unit_pair):
-    np.testing.assert_allclose(distance_matrix(unit_pair), [[0, 1], [1, 0]])
+    np.testing.assert_allclose(unit_pair.distances, [[0, 1], [1, 0]])
 
 
 def test_distance_matrix_345():
     cfg = validate_configuration([(0, 0, 0), (3, 4, 0)])
-    assert distance_matrix(cfg)[0, 1] == 5.0
+    assert cfg.distances[0, 1] == 5.0
 
 
 def test_distance_matrix_equilateral(equilateral):
-    d = distance_matrix(equilateral)
+    d = equilateral.distances
     off = d[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 1.0, rtol=1e-15)
 
@@ -68,7 +73,7 @@ def test_distance_matrix_equilateral(equilateral):
 def test_distance_matrix_symmetric_zero_diag():
     rng = np.random.default_rng(3)
     cfg = validate_configuration(rng.uniform(size=(6, 3)))
-    d = distance_matrix(cfg)
+    d = cfg.distances
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
 
@@ -76,7 +81,7 @@ def test_distance_matrix_symmetric_zero_diag():
 def test_distance_matrix_triangle_inequality():
     rng = np.random.default_rng(13)
     cfg = random_configuration(7, rng)
-    d = distance_matrix(cfg)
+    d = cfg.distances
     for i in range(7):
         for j in range(7):
             for k in range(7):
@@ -88,13 +93,13 @@ def test_distance_matrix_rigid_invariance():
     cfg = random_configuration(5, rng)
     moved = apply_rigid_motion(cfg, rng)
     np.testing.assert_allclose(
-        distance_matrix(moved), distance_matrix(cfg), atol=1e-12
+        moved.distances, cfg.distances, atol=1e-12
     )
 
 
 def test_scale_distances_linear():
     cfg = validate_configuration([(0, 0, 0), (3, 4, 0)])
-    assert distance_matrix(scale_configuration(cfg, 0.5))[0, 1] == 2.5
+    assert scale_configuration(cfg, 0.5).distances[0, 1] == 2.5
 
 
 def test_random_configuration_deterministic():
@@ -105,7 +110,7 @@ def test_random_configuration_deterministic():
 
 def test_random_configuration_valid_and_gapped():
     cfg = random_configuration(5, seed=7, box_side=1.0, min_gap=0.05)
-    d = distance_matrix(cfg)
+    d = cfg.distances
     off = d[~np.eye(5, dtype=bool)]
     assert off.min() >= 0.05
     assert np.all(cfg.centers >= 0) and np.all(cfg.centers <= 1)
@@ -150,3 +155,53 @@ def test_strengths_must_be_finite():
         strength_values([np.nan])
     st = strength_values([1, 1j])
     assert len(st) == 2
+
+
+def test_distances_read_only_and_left_out_of_repr():
+    cfg = validate_configuration([(0, 0, 0), (3, 4, 0)])
+    with pytest.raises(ValueError):
+        cfg.distances[0, 1] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        cfg.distances = np.zeros((2, 2))
+    assert "distances" not in repr(cfg)
+    with pytest.raises(TypeError):  # not a constructor argument
+        Configuration([(0, 0, 0), (1, 0, 0)], np.zeros((2, 2)))
+
+
+def test_configuration_computes_distances_once(distance_spy):
+    cfg = validate_configuration([(0, 0, 0), (3, 4, 0), (0, 0, 1)])
+    assert validate_configuration(cfg) is cfg
+    size_v(cfg)
+    is_generic(cfg)
+    expand(np.zeros(3), cfg)
+    assert len(distance_spy) == 1
+
+
+def test_random_configuration_computes_distances_once_per_draw(distance_spy):
+    random_configuration(6, seed=0)
+    random_configuration(6, seed=1, min_gap=0.3)  # rejects some draws
+    draws = {c.tobytes() for c in distance_spy}
+    assert len(distance_spy) == len(draws) > 2
+
+
+BAD_INPUTS = {
+    "complex center": lambda: Configuration([[1 + 1j, 0, 0], [0, 0, 0]]),
+    "string centers": lambda: Configuration([["x", "y", "z"], [0, 0, 0]]),
+    "huge integer center": lambda: Configuration([[10**400, 0, 0], [0, 0, 0]]),
+    "ragged centers": lambda: Configuration([[0, 0, 0], [1, 0]]),
+    "object centers": lambda: validate_configuration([[0, 0, None], [1, 0, 0]]),
+    "string strengths": lambda: expand(["a", "b"], validate_configuration([(0, 0, 0), (1, 0, 0)])),
+    "ragged strengths": lambda: strength_values([[1, 2], [3]]),
+    "float n": lambda: random_configuration(3.0, 0),
+    "string n": lambda: random_configuration("3", 0),
+    "bool n": lambda: random_configuration(True, 0),
+    "negative seed": lambda: random_configuration(3, -1),
+    "float seed": lambda: random_configuration(3, 1.5),
+    "bool seed": lambda: random_configuration(3, True),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_geometry_input_raises_validation_error(case):
+    with pytest.raises(ValidationError):
+        BAD_INPUTS[case]()

@@ -280,6 +280,21 @@ def test_enumerate_classes_bounds():
         enumerate_classes(1)
 
 
+@pytest.mark.parametrize("n", [2.0, 3.5, True, "4"])
+def test_enumerate_classes_rejects_non_integers(n):
+    enumerate_classes(2)  # a cached int key must not answer for 2.0 or True
+    with pytest.raises(ValidationError, match="must be an integer"):
+        enumerate_classes(n)
+
+
+def test_enumerate_classes_cache_clear():
+    images = enumerate_classes(5)
+    enumerate_classes.cache_clear()
+    again = enumerate_classes(5)
+    assert again is not images and np.array_equal(again, images)
+    assert enumerate_classes(5) is again
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_enumerate_classes_matches_multigraph_codes(n):
     images = enumerate_classes(n)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonance_sizer import (
-    distance_matrix,
     enumerate_classes,
     is_generic,
     random_configuration,
@@ -36,7 +35,7 @@ EXACT_TIES = {**SHAPES, "disphenoid": np.array(DISPHENOID_CENTERS)}
 
 
 def brute_max(config):
-    d = distance_matrix(config)
+    d = config.distances
     n = config.n
     return max(
         sum(d[j, p[j]] for j in range(n)) for p in itertools.permutations(range(n))
@@ -122,7 +121,7 @@ def _check_against_brute(cfg, v, argmax):
 @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1))
 def test_assignment_duals_certify_random(n, seed):
     cfg = random_configuration(n, seed)
-    v, argmax = _check_assignment(distance_matrix(cfg))
+    v, argmax = _check_assignment(cfg.distances)
     if n <= 8:
         _check_against_brute(cfg, v, argmax)
 
@@ -140,7 +139,7 @@ def test_assignment_duals_certify_structured(shape, seed, moved):
     cfg = validate_configuration(centers[rng.permutation(len(centers))])
     if moved:
         cfg = apply_rigid_motion(cfg, rng)
-    _check_against_brute(cfg, *_check_assignment(distance_matrix(cfg)))
+    _check_against_brute(cfg, *_check_assignment(cfg.distances))
 
 
 # Maximizers picked on shapes with tied tops (576 maximizers on the
@@ -161,7 +160,7 @@ def test_size_v_tie_picks(shape, argmax):
 
 
 def test_assignment_n100_under_a_tenth_of_a_second():
-    d = distance_matrix(random_configuration(100, seed=100))
+    d = random_configuration(100, seed=100).distances
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
@@ -198,7 +197,7 @@ def test_representative_values_blockwise_bytes(n, seed):
     # doubles as one sum over all of them (N = 9 spans several blocks)
     cfg = random_configuration(n, seed=seed)
     reps, values = representative_values(cfg)
-    d = distance_matrix(cfg)
+    d = cfg.distances
     assert values.tobytes() == d[np.arange(n), reps].sum(axis=1).tobytes()
 
 

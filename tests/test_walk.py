@@ -15,7 +15,6 @@ import pytest
 from resonance_sizer import (
     classify,
     counting_function,
-    distance_matrix,
     expand,
     is_generic,
     random_configuration,
@@ -152,7 +151,7 @@ def test_mask_polynomials_on_demand_match_table(n):
 def _lex_deficits(cfg):
     """Every permutation in lexicographic order with its reduced-cost sum,
     added row by row as the walk adds it."""
-    d = distance_matrix(cfg)
+    d = cfg.distances
     _, _, u, w = sizing._assignment(d)
     reduced = u[:, None] + w - d
     perms = np.array(list(itertools.permutations(range(cfg.n))))
@@ -232,6 +231,8 @@ BAD_RADII = [
     ([5.0, 10.0, math.inf], "finite and > 0"),
     ([0.0, 5.0, 10.0], "finite and > 0"),
     ([-1.0, 5.0, 10.0], "finite and > 0"),
+    (["a", "b", "c"], "real numbers"),
+    ([1j, 2j, 3j], "real numbers"),
 ]
 
 
